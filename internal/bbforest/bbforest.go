@@ -175,9 +175,8 @@ func (f *Forest) CandidateUnionFilterCtx(q []float64, radii []float64, sess *dis
 			work = work[:len(work)-1]
 			node := &tree.Nodes[idx]
 			total.NodesVisited++
-			lb := sc.proj.LowerBound(node)
 			total.BoundComps++
-			if lb > r {
+			if sc.proj.Prunes(node, r) {
 				continue
 			}
 			if node.IsLeaf() {
@@ -197,6 +196,7 @@ func (f *Forest) CandidateUnionFilterCtx(q []float64, radii []float64, sess *dis
 			work = append(work, node.Right, node.Left)
 		}
 		sc.stack = work
+		total.BisectSteps += sc.proj.Steps()
 	}
 	return sc.cands, total
 }

@@ -2,6 +2,7 @@ package bbforest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"brepartition/internal/bbtree"
@@ -238,5 +239,94 @@ func TestPCCPLayoutReducesIO(t *testing.T) {
 	f.CandidateUnion(q, radii, sess)
 	if sess.PageReads() > sumPages {
 		t.Fatalf("union pages %d exceed per-subspace sum %d", sess.PageReads(), sumPages)
+	}
+}
+
+// referenceUnion is the candidate union as it was computed before the
+// range filter decided with Prunes: every node gets the full
+// dual-geodesic LowerBound and is pruned when it exceeds the radius.
+// It is the oracle TestCandidateUnionMatchesFullBound holds the
+// early-exit traversal to.
+func referenceUnion(f *Forest, q []float64, radii []float64, keep func(int) bool) ([]int, bbtree.Stats) {
+	var st bbtree.Stats
+	var cands []int
+	seen := make([]bool, f.Store.Len())
+	var proj bbtree.Projector
+	for i, tree := range f.Trees {
+		if len(tree.Nodes) == 0 {
+			continue
+		}
+		proj.Bind(tree, q)
+		work := []int{0}
+		for len(work) > 0 {
+			node := &tree.Nodes[work[len(work)-1]]
+			work = work[:len(work)-1]
+			st.NodesVisited++
+			st.BoundComps++
+			if proj.LowerBound(node) > radii[i] {
+				continue
+			}
+			if node.IsLeaf() {
+				st.LeavesVisited++
+				for _, id := range node.IDs {
+					if seen[id] {
+						continue
+					}
+					seen[id] = true
+					if keep == nil || keep(id) {
+						cands = append(cands, id)
+					}
+				}
+				continue
+			}
+			work = append(work, node.Right, node.Left)
+		}
+		st.BisectSteps += proj.Steps()
+	}
+	return cands, st
+}
+
+// TestCandidateUnionMatchesFullBound pins the early-exit filter to the
+// full-bound traversal on the seeded corpus: the same candidates in the
+// same order, the same nodes and leaves visited, and no more bisection
+// steps.
+func TestCandidateUnionMatchesFullBound(t *testing.T) {
+	points, div := testData(t, 500)
+	f := buildForest(t, points, div, 4)
+	rng := rand.New(rand.NewSource(6))
+	var sc SearchScratch
+	leaves := 0
+	for _, tree := range f.Trees {
+		leaves += tree.NumLeaves()
+	}
+	pruned := false
+	for trial := 0; trial < 12; trial++ {
+		q := points[rng.Intn(len(points))]
+		for _, scale := range []float64{0, 0.05, 0.3, 1, 4, 1e18} {
+			radii := make([]float64, f.M())
+			for i := range radii {
+				radii[i] = scale * (1 + rng.Float64())
+			}
+			for _, keep := range []func(int) bool{nil, func(id int) bool { return id%3 != 0 }} {
+				want, wst := referenceUnion(f, q, radii, keep)
+				got, gst := f.CandidateUnionFilterCtx(q, radii, f.Store.NewSession(), &sc, keep)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d scale %g: candidates differ from the full-bound traversal\n got %v\nwant %v",
+						trial, scale, got, want)
+				}
+				if gst.NodesVisited != wst.NodesVisited || gst.LeavesVisited != wst.LeavesVisited ||
+					gst.BoundComps != wst.BoundComps {
+					t.Fatalf("trial %d scale %g: stats %+v, full-bound %+v", trial, scale, gst, wst)
+				}
+				if gst.BisectSteps > wst.BisectSteps {
+					t.Fatalf("trial %d scale %g: %d bisection steps, full bound took %d",
+						trial, scale, gst.BisectSteps, wst.BisectSteps)
+				}
+				pruned = pruned || (wst.LeavesVisited > 0 && wst.LeavesVisited < leaves)
+			}
+		}
+	}
+	if !pruned {
+		t.Fatal("no radius kept some leaves and pruned others; the comparison is vacuous")
 	}
 }

@@ -38,7 +38,9 @@ type Config struct {
 	MaxDepth int
 	// KMeansIters bounds Lloyd iterations per split. Defaults to 8.
 	KMeansIters int
-	// BisectIters bounds the θ bisection. Defaults to 24.
+	// BisectIters caps the θ bisection. LowerBound always runs all of
+	// them; the range filter's Prunes usually decides in a few. Defaults
+	// to 24.
 	BisectIters int
 	// Seed drives k-means initialization.
 	Seed int64
@@ -95,6 +97,9 @@ type Stats struct {
 	LeavesVisited int
 	DistanceComps int
 	BoundComps    int
+	// BisectSteps counts GeodesicStep calls, the per-node cost of a
+	// bound or pruning decision.
+	BisectSteps int
 }
 
 // Add merges other into s.
@@ -103,6 +108,7 @@ func (s *Stats) Add(other Stats) {
 	s.LeavesVisited += other.LeavesVisited
 	s.DistanceComps += other.DistanceComps
 	s.BoundComps += other.BoundComps
+	s.BisectSteps += other.BisectSteps
 }
 
 // Gather copies the subspace coordinates of p selected by dims into a new
@@ -413,10 +419,11 @@ func equalVec(a, b []float64) bool {
 // Bounds: dual-geodesic projection (the "secant method" of §5.1/[35]).
 // ---------------------------------------------------------------------------
 
-// Projector computes node lower bounds for one query against one tree,
-// owning the scratch vectors the geodesic bisection needs. A zero
-// Projector is ready for Bind; rebinding reuses the scratch, so a pooled
-// projector makes repeated queries allocation-free.
+// Projector computes node lower bounds and pruning decisions for one
+// query against one tree, owning the scratch vectors the geodesic
+// bisection needs. A zero Projector is ready for Bind; rebinding reuses
+// the scratch, so a pooled projector makes repeated queries
+// allocation-free.
 type Projector struct {
 	t       *Tree
 	kern    kernel.Kernel
@@ -424,6 +431,7 @@ type Projector struct {
 	gq      []float64 // ∇f(q)
 	gmu     []float64 // ∇f(center), refreshed per node
 	scratch []float64 // generic-kernel geodesic scratch
+	steps   int       // GeodesicStep calls since Bind
 }
 
 // Bind points the projector at tree and gathers the full-dimensional query
@@ -438,7 +446,11 @@ func (p *Projector) Bind(t *Tree, qFull []float64) {
 	p.scratch = grow(p.scratch, d)
 	gatherInto(p.q, qFull, t.Dims)
 	p.kern.GradVec(p.gq, p.q)
+	p.steps = 0
 }
+
+// Steps returns the GeodesicStep calls made since the last Bind.
+func (p *Projector) Steps() int { return p.steps }
 
 // grow returns a slice of length n, reusing buf's backing array when it is
 // large enough.
@@ -465,6 +477,7 @@ func (p *Projector) LowerBound(node *Node) float64 {
 	for iter := 0; iter < p.t.cfg.BisectIters; iter++ {
 		theta := (lo + hi) / 2
 		dQ, dMu, ok := p.kern.GeodesicStep(p.gq, p.gmu, p.q, node.Center, theta, p.scratch)
+		p.steps++
 		if !ok {
 			return best
 		}
@@ -485,15 +498,57 @@ func (p *Projector) LowerBound(node *Node) float64 {
 	return best
 }
 
+// Prunes reports whether the range filter may skip node for radius r:
+// the decision form of LowerBound(node) > r. It walks the same bisection
+// but stops at the first iterate that decides the question: a
+// weak-duality bound above r prunes, and a witness — an iterate inside
+// the ball (D_f(x, µ) ≤ R) within r of the query — keeps the node.
+// BisectIters only caps the walk.
+//
+// Prunes never skips a node LowerBound(node) > r keeps: every iterate's
+// bound is at most LowerBound's best. It can keep a node that test
+// prunes only when a computed witness and a computed bound above r
+// contradict each other through rounding, so a candidate set built from
+// Prunes is a superset of the one LowerBound builds and exact refinement
+// gives the same answer.
+func (p *Projector) Prunes(node *Node, r float64) bool {
+	if r < 0 {
+		return true // every bound is ≥ 0
+	}
+	if p.kern.Distance(p.q, node.Center) <= node.Radius {
+		return false // query inside the ball
+	}
+	p.kern.GradVec(p.gmu, node.Center)
+	lo, hi := 0.0, 1.0
+	for iter := 0; iter < p.t.cfg.BisectIters; iter++ {
+		theta := (lo + hi) / 2
+		dQ, dMu, ok := p.kern.GeodesicStep(p.gq, p.gmu, p.q, node.Center, theta, p.scratch)
+		p.steps++
+		if !ok {
+			return false
+		}
+		// A NaN bound compares false and decides nothing.
+		if dQ+theta/(1-theta)*(dMu-node.Radius) > r {
+			return true
+		}
+		if dMu > node.Radius {
+			lo = theta
+			continue
+		}
+		if dQ <= r {
+			return false // witness: x(θ) is in the ball and in range
+		}
+		hi = theta
+	}
+	return false
+}
+
 // newProjector is the legacy single-query constructor (tests use it).
 func (t *Tree) newProjector(qFull []float64) *Projector {
 	p := &Projector{}
 	p.Bind(t, qFull)
 	return p
 }
-
-// lowerBound is the legacy name for LowerBound.
-func (p *Projector) lowerBound(node *Node) float64 { return p.LowerBound(node) }
 
 // ---------------------------------------------------------------------------
 // Exact kNN (Cayton 2008 style best-first search).
@@ -545,6 +600,7 @@ func (t *Tree) KNNVisit(q []float64, k int, onLeaf func(*Node)) ([]topk.Item, St
 			}
 		}
 	}
+	st.BisectSteps = proj.Steps()
 	return sel.Items(), st
 }
 
@@ -592,6 +648,7 @@ func (t *Tree) KNNBudget(q []float64, k, maxLeaves int, onLeaf func(*Node)) ([]t
 			}
 		}
 	}
+	st.BisectSteps = proj.Steps()
 	return sel.Items(), st
 }
 
@@ -629,9 +686,8 @@ func (t *Tree) RangeLeavesProj(q []float64, r float64, proj *Projector, stack *[
 		work = work[:len(work)-1]
 		node := &t.Nodes[idx]
 		st.NodesVisited++
-		lb := proj.LowerBound(node)
 		st.BoundComps++
-		if lb > r {
+		if proj.Prunes(node, r) {
 			continue
 		}
 		if node.IsLeaf() {
@@ -645,6 +701,7 @@ func (t *Tree) RangeLeavesProj(q []float64, r float64, proj *Projector, stack *[
 		work = append(work, node.Right, node.Left)
 	}
 	*stack = work
+	st.BisectSteps = proj.Steps()
 	return st
 }
 

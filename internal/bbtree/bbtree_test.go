@@ -192,32 +192,144 @@ func TestRangeLeavesCompleteness(t *testing.T) {
 	}
 }
 
+// pruneDivs covers every monomorphized kernel in treeDivs plus LpNorm,
+// which has no kernel of its own and runs on the generic fallback.
+var pruneDivs = append(append([]bregman.Divergence(nil), treeDivs...), bregman.LpNorm{P: 3})
+
+// subtreeIDs returns the ids of every point under node idx.
+func subtreeIDs(tree *Tree, idx int) []int {
+	node := &tree.Nodes[idx]
+	if node.IsLeaf() {
+		return node.IDs
+	}
+	return append(subtreeIDs(tree, node.Left), subtreeIDs(tree, node.Right)...)
+}
+
+// minDistance is the brute-force min{D_f(x, q) : x under node idx}.
+func minDistance(tree *Tree, idx int, q []float64) float64 {
+	m := math.Inf(1)
+	for _, id := range subtreeIDs(tree, idx) {
+		m = math.Min(m, bregman.Distance(tree.Div, tree.SubPoint(id), q))
+	}
+	return m
+}
+
 func TestLowerBoundSoundness(t *testing.T) {
 	// The dual-geodesic lower bound must never exceed the true minimum
-	// distance from the query to any point in the ball.
-	rng := rand.New(rand.NewSource(15))
-	for _, div := range treeDivs {
-		pts := clusteredPoints(div, 300, 5, 16)
-		tree := Build(div, pts, nil, Config{LeafSize: 12, Seed: 17})
-		for trial := 0; trial < 10; trial++ {
-			q := domainVec(div, 5, rng)
-			proj := tree.newProjector(q)
-			for i := range tree.Nodes {
-				node := &tree.Nodes[i]
-				if !node.IsLeaf() {
-					continue
-				}
-				lb := proj.lowerBound(node)
-				for _, id := range node.IDs {
-					d := bregman.Distance(div, tree.SubPoint(id), proj.q)
-					if lb > d+1e-9*(1+d) {
-						t.Fatalf("%s: lb %g > true distance %g (point %d)",
-							div.Name(), lb, d, id)
+	// distance from the query to any point under a node. Prunes — its
+	// early-exit decision form — must answer LowerBound(node) > r for
+	// radii on both sides of the bound (none is close enough below it for
+	// rounding to separate a witness from a bound), may skip a node only
+	// when no point under it lies within r, and must take fewer steps.
+	for _, div := range pruneDivs {
+		t.Run(div.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(15))
+			pts := clusteredPoints(div, 300, 5, 16)
+			tree := Build(div, pts, nil, Config{LeafSize: 12, Seed: 17})
+			iters := tree.cfg.BisectIters
+			pruned := 0
+			for trial := 0; trial < 10; trial++ {
+				q := domainVec(div, 5, rng)
+				var full, early Projector
+				full.Bind(tree, q)
+				early.Bind(tree, q)
+				radii := 0
+				for i := range tree.Nodes {
+					node := &tree.Nodes[i]
+					lb := full.LowerBound(node)
+					minD := minDistance(tree, i, full.q)
+					if lb > minD+1e-9*(1+minD) {
+						t.Fatalf("node %d: lb %g > true distance %g", i, lb, minD)
+					}
+					for _, r := range []float64{-1, 0, lb / 2, lb, math.Nextafter(lb, math.Inf(1)), 2 * lb, math.NaN()} {
+						radii++
+						before := early.Steps()
+						got := early.Prunes(node, r)
+						if n := early.Steps() - before; n > iters {
+							t.Fatalf("node %d r=%g: %d steps exceed the cap %d", i, r, n, iters)
+						}
+						if want := lb > r; got != want {
+							t.Fatalf("node %d r=%g: Prunes=%v, LowerBound %g > r is %v", i, r, got, lb, want)
+						}
+						if got {
+							pruned++
+							if minD <= r {
+								t.Fatalf("node %d r=%g: pruned but a point lies at %g", i, r, minD)
+							}
+						}
 					}
 				}
+				// Per decision, the early exit must beat the full walk.
+				if early.Steps()*len(tree.Nodes) >= full.Steps()*radii {
+					t.Fatalf("%d steps for %d decisions; LowerBound took %d for %d nodes",
+						early.Steps(), radii, full.Steps(), len(tree.Nodes))
+				}
+			}
+			if pruned == 0 {
+				t.Fatal("no node was ever pruned")
+			}
+		})
+	}
+}
+
+func TestRangeLeavesCountsBisectSteps(t *testing.T) {
+	div := bregman.ItakuraSaito{}
+	pts := clusteredPoints(div, 400, 6, 33)
+	tree := Build(div, pts, nil, Config{LeafSize: 16, Seed: 34})
+	q := pts[3]
+	st := tree.RangeLeaves(q, 1, func(*Node) {})
+	if st.BisectSteps <= 0 || st.BisectSteps > st.BoundComps*tree.cfg.BisectIters {
+		t.Fatalf("BisectSteps %d for %d bound decisions", st.BisectSteps, st.BoundComps)
+	}
+	_, kst := tree.KNN(q, 5)
+	if kst.BisectSteps <= 0 || kst.BisectSteps > kst.BoundComps*tree.cfg.BisectIters {
+		t.Fatalf("KNN BisectSteps %d for %d bounds", kst.BisectSteps, kst.BoundComps)
+	}
+}
+
+// FuzzPrunesSound checks Prunes against LowerBound and brute force on
+// the TestLowerBoundSoundness corpus, for fuzzed queries and radii: a
+// pruned node must have LowerBound > r and hold no point within r,
+// allowing LowerBound its documented rounding slack.
+func FuzzPrunesSound(f *testing.F) {
+	trees := make([]*Tree, len(pruneDivs))
+	rng := rand.New(rand.NewSource(15))
+	for di, div := range pruneDivs {
+		pts := clusteredPoints(div, 300, 5, 16)
+		trees[di] = Build(div, pts, nil, Config{LeafSize: 12, Seed: 17})
+		for _, q := range [][]float64{domainVec(div, 5, rng), pts[di]} {
+			for _, r := range []float64{-1, 0, 0.5, 2, 8} {
+				f.Add(uint8(di), q[0], q[1], q[2], q[3], q[4], r)
 			}
 		}
 	}
+	f.Add(uint8(1), 1.0, 2.0, 3.0, 4.0, 5.0, math.NaN())
+	f.Fuzz(func(t *testing.T, di uint8, q0, q1, q2, q3, q4, r float64) {
+		tree := trees[int(di)%len(trees)]
+		lo, _ := tree.Div.Domain()
+		q := []float64{q0, q1, q2, q3, q4}
+		for _, x := range q {
+			// Stay where the kernels are finite: |x| ≤ 20, and inside
+			// the domain with a margin.
+			if !(math.Abs(x) <= 20) || (!math.IsInf(lo, -1) && x < lo+1e-3) {
+				return
+			}
+		}
+		var proj Projector
+		proj.Bind(tree, q)
+		for i := range tree.Nodes {
+			node := &tree.Nodes[i]
+			if !proj.Prunes(node, r) {
+				continue
+			}
+			if lb := proj.LowerBound(node); !(lb > r) {
+				t.Fatalf("%s node %d r=%g: pruned but LowerBound %g ≤ r", tree.Div.Name(), i, r, lb)
+			}
+			if minD := minDistance(tree, i, q); minD+1e-9*(1+minD) <= r {
+				t.Fatalf("%s node %d r=%g: pruned but a point lies at %g", tree.Div.Name(), i, r, minD)
+			}
+		}
+	})
 }
 
 func TestSubspaceTree(t *testing.T) {
@@ -329,10 +441,10 @@ func TestKNNBudgetApproximation(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	var a, b Stats
-	a = Stats{1, 2, 3, 4}
+	a = Stats{1, 2, 3, 4, 5}
 	b.Add(a)
 	b.Add(a)
-	if b != (Stats{2, 4, 6, 8}) {
+	if b != (Stats{2, 4, 6, 8, 10}) {
 		t.Fatalf("Add wrong: %+v", b)
 	}
 }

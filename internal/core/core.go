@@ -188,9 +188,19 @@ type SearchStats struct {
 	NodesVisited  int
 	LeavesVisited int
 	DistanceComps int
-	// FilterTime and RefineTime split the query wall time.
+	// BisectSteps counts the BB-tree geodesic bisection steps spent
+	// deciding which nodes to prune.
+	BisectSteps int
+	// FilterTime and RefineTime split the query wall time. A sharded
+	// search reports the critical shard's split (the shard that spent
+	// longest in them), so they stay within the request's wall time.
 	FilterTime time.Duration
 	RefineTime time.Duration
+	// FilterCPU and RefineCPU are the same phases' time summed over every
+	// shard that ran them in parallel; an unsharded search sets them to
+	// FilterTime and RefineTime.
+	FilterCPU time.Duration
+	RefineCPU time.Duration
 	// Cold-tier detail, populated only when the query was served by
 	// SearchColdAppend: points scanned in the compressed domain, points
 	// rejected by VA bounds, pages faulted in, block-cache hits, and
@@ -599,8 +609,11 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 			NodesVisited:  ts.NodesVisited,
 			LeavesVisited: ts.LeavesVisited,
 			DistanceComps: ts.DistanceComps + len(cands),
+			BisectSteps:   ts.BisectSteps,
 			FilterTime:    filterTime,
 			RefineTime:    refineTime,
+			FilterCPU:     filterTime,
+			RefineCPU:     refineTime,
 		},
 	}, nil
 }

@@ -61,6 +61,7 @@ func (ix *Index) RangeSearch(q []float64, r float64) ([]topk.Item, SearchStats, 
 		NodesVisited:  ts.NodesVisited,
 		LeavesVisited: ts.LeavesVisited,
 		DistanceComps: ts.DistanceComps + len(cands),
+		BisectSteps:   ts.BisectSteps,
 		ApproxC:       1,
 	}
 	return out, stats, nil
@@ -142,6 +143,7 @@ func (ix *Index) SearchParallel(q []float64, k, workers int) (Result, error) {
 			NodesVisited:  ts.NodesVisited,
 			LeavesVisited: ts.LeavesVisited,
 			DistanceComps: ts.DistanceComps + len(cands),
+			BisectSteps:   ts.BisectSteps,
 		},
 	}, nil
 }

@@ -138,6 +138,7 @@ func foldStats(tr *obs.Trace, st core.SearchStats) {
 	tr.Add(obs.Counters{
 		Nodes:         int64(st.NodesVisited),
 		Leaves:        int64(st.LeavesVisited),
+		BisectSteps:   int64(st.BisectSteps),
 		Candidates:    int64(st.Candidates),
 		DistanceComps: int64(st.DistanceComps),
 		PageReads:     int64(st.PageReads),

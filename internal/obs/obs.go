@@ -82,8 +82,10 @@ func Stages() [NumStages]Stage {
 // shards it touched. They mirror core.SearchStats/coldtier.Stats but
 // live here so obs depends on nothing.
 type Counters struct {
-	// Nodes and Leaves count BB-tree nodes and leaves visited.
-	Nodes, Leaves int64
+	// Nodes and Leaves count BB-tree nodes and leaves visited;
+	// BisectSteps counts the geodesic bisection steps spent deciding
+	// which of them to prune.
+	Nodes, Leaves, BisectSteps int64
 	// Candidates is the number of points whose candidate bound
 	// survived filtering; DistanceComps counts exact divergence
 	// evaluations spent refining them.
@@ -119,8 +121,8 @@ type Trace struct {
 
 	spans [NumStages]atomic.Int64 // nanoseconds
 
-	nodes, leaves, candidates, distComps, pageReads atomic.Int64
-	coldScanned, coldPruned, coldFaults, coldHits   atomic.Int64
+	nodes, leaves, bisectSteps, candidates, distComps, pageReads atomic.Int64
+	coldScanned, coldPruned, coldFaults, coldHits                atomic.Int64
 
 	mu     sync.Mutex
 	shards []ShardSpan
@@ -143,6 +145,7 @@ func NewTrace(id uint64) *Trace {
 	}
 	t.nodes.Store(0)
 	t.leaves.Store(0)
+	t.bisectSteps.Store(0)
 	t.candidates.Store(0)
 	t.distComps.Store(0)
 	t.pageReads.Store(0)
@@ -254,6 +257,9 @@ func (t *Trace) Add(c Counters) {
 	if c.Leaves != 0 {
 		t.leaves.Add(c.Leaves)
 	}
+	if c.BisectSteps != 0 {
+		t.bisectSteps.Add(c.BisectSteps)
+	}
 	if c.Candidates != 0 {
 		t.candidates.Add(c.Candidates)
 	}
@@ -285,6 +291,7 @@ func (t *Trace) Counters() Counters {
 	return Counters{
 		Nodes:         t.nodes.Load(),
 		Leaves:        t.leaves.Load(),
+		BisectSteps:   t.bisectSteps.Load(),
 		Candidates:    t.candidates.Load(),
 		DistanceComps: t.distComps.Load(),
 		PageReads:     t.pageReads.Load(),

@@ -50,15 +50,15 @@ func TestTraceAccumulatesAndResets(t *testing.T) {
 	tr.SetQuery(10, 3)
 	tr.AddSpan(StageQueue, 2*time.Millisecond)
 	tr.AddSpan(StageQueue, 3*time.Millisecond)
-	tr.Add(Counters{Nodes: 7, Candidates: 2})
-	tr.Add(Counters{Nodes: 1, ColdFaults: 4})
+	tr.Add(Counters{Nodes: 7, Candidates: 2, BisectSteps: 5})
+	tr.Add(Counters{Nodes: 1, ColdFaults: 4, BisectSteps: 2})
 	tr.AddShard(ShardSpan{Shard: 0, Run: time.Millisecond, Items: 5})
 	tr.MarkCached()
 	if got := tr.Span(StageQueue); got != 5*time.Millisecond {
 		t.Errorf("queue span = %v", got)
 	}
 	c := tr.Counters()
-	if c.Nodes != 8 || c.Candidates != 2 || c.ColdFaults != 4 {
+	if c.Nodes != 8 || c.Candidates != 2 || c.ColdFaults != 4 || c.BisectSteps != 7 {
 		t.Errorf("counters = %+v", c)
 	}
 	if len(tr.Shards()) != 1 || !tr.Cached() || tr.K() != 10 || tr.NQ() != 3 {
@@ -258,7 +258,7 @@ func TestSlowLogSchema(t *testing.T) {
 	defer tr.Release()
 	tr.SetQuery(10, 1)
 	tr.AddSpan(StageRun, 2*time.Millisecond)
-	tr.Add(Counters{Nodes: 3, DistanceComps: 9})
+	tr.Add(Counters{Nodes: 3, DistanceComps: 9, BisectSteps: 4})
 
 	sl.MaybeLog("audio", "search", tr, 500*time.Microsecond) // below threshold
 	if buf.Len() != 0 {
@@ -290,7 +290,8 @@ func TestSlowLogSchema(t *testing.T) {
 	if !ok {
 		t.Fatalf("no counters group in %v", rec)
 	}
-	if counters["nodes"].(float64) != 3 || counters["distance_comps"].(float64) != 9 {
+	if counters["nodes"].(float64) != 3 || counters["distance_comps"].(float64) != 9 ||
+		counters["bisect_steps"].(float64) != 4 {
 		t.Errorf("counters = %v", counters)
 	}
 

@@ -16,8 +16,8 @@ import (
 //
 //	msg="slow query" trace_id collection op k nq cached shards total_ms
 //	stages.{admission,coalesce,queue,run,scan,refine,cold}_ms
-//	counters.{nodes,leaves,candidates,distance_comps,page_reads,
-//	          cold_scanned,cold_pruned,cold_faults,cold_hits}
+//	counters.{nodes,leaves,bisect_steps,candidates,distance_comps,
+//	          page_reads,cold_scanned,cold_pruned,cold_faults,cold_hits}
 //
 // Every stage key is always present (zero when the stage was not
 // touched) so log consumers can index the schema statically.
@@ -63,6 +63,7 @@ func (sl *SlowLog) MaybeLog(collection, op string, tr *Trace, total time.Duratio
 		slog.Group("counters",
 			slog.Int64("nodes", c.Nodes),
 			slog.Int64("leaves", c.Leaves),
+			slog.Int64("bisect_steps", c.BisectSteps),
 			slog.Int64("candidates", c.Candidates),
 			slog.Int64("distance_comps", c.DistanceComps),
 			slog.Int64("page_reads", c.PageReads),

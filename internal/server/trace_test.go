@@ -49,7 +49,7 @@ var (
 		"scan_ms", "refine_ms", "cold_ms",
 	}
 	wantCounterKeys = []string{
-		"nodes", "leaves", "candidates", "distance_comps", "page_reads",
+		"nodes", "leaves", "bisect_steps", "candidates", "distance_comps", "page_reads",
 		"cold_scanned", "cold_pruned", "cold_faults", "cold_hits",
 	}
 )
@@ -187,6 +187,7 @@ func TestTraceCountersMatchRecount(t *testing.T) {
 		}{
 			{"nodes", int64(want.Stats.NodesVisited)},
 			{"leaves", int64(want.Stats.LeavesVisited)},
+			{"bisect_steps", int64(want.Stats.BisectSteps)},
 			{"candidates", int64(want.Stats.Candidates)},
 			{"distance_comps", int64(want.Stats.DistanceComps)},
 			{"page_reads", int64(want.Stats.PageReads)},

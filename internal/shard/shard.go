@@ -37,6 +37,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"brepartition/internal/approx"
 	"brepartition/internal/bregman"
@@ -478,26 +479,41 @@ func firstLive(perShard []core.Result) int {
 }
 
 // addStats folds one shard's work into the aggregate: work counters and
-// phase times sum (total cost across the fleet), BoundTotal keeps the
-// tightest per-shard bound, ApproxC stays 1 (sharded search is exact).
+// the CPU phase times sum (total cost across the fleet), the wall phase
+// times are the critical shard's, BoundTotal keeps the tightest
+// per-shard bound, ApproxC stays 1 (sharded search is exact).
+//
+// Shards run in parallel, so summing their wall phase times would report
+// more scan time than the request took. The critical shard is the one
+// with the most filter, refine and cold time; its split is what the
+// request waited for.
 func addStats(agg, s core.SearchStats, first bool) core.SearchStats {
 	agg.PageReads += s.PageReads
 	agg.Candidates += s.Candidates
 	agg.NodesVisited += s.NodesVisited
 	agg.LeavesVisited += s.LeavesVisited
 	agg.DistanceComps += s.DistanceComps
-	agg.FilterTime += s.FilterTime
-	agg.RefineTime += s.RefineTime
+	agg.BisectSteps += s.BisectSteps
+	agg.FilterCPU += s.FilterCPU
+	agg.RefineCPU += s.RefineCPU
+	if phaseTime(s) > phaseTime(agg) {
+		agg.FilterTime, agg.RefineTime, agg.ColdTime = s.FilterTime, s.RefineTime, s.ColdTime
+	}
 	agg.ColdScanned += s.ColdScanned
 	agg.ColdPruned += s.ColdPruned
 	agg.ColdPageFaults += s.ColdPageFaults
 	agg.ColdCacheHits += s.ColdCacheHits
-	agg.ColdTime += s.ColdTime
 	agg.ApproxC = 1
 	if first || (s.BoundTotal > 0 && s.BoundTotal < agg.BoundTotal) {
 		agg.BoundTotal = s.BoundTotal
 	}
 	return agg
+}
+
+// phaseTime is one search's wall time in the filter, refine and cold
+// phases.
+func phaseTime(s core.SearchStats) time.Duration {
+	return s.FilterTime + s.RefineTime + s.ColdTime
 }
 
 // BatchSearch answers all queries, scatter-gathering each across every
