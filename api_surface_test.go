@@ -99,7 +99,6 @@ func TestPublicAPISurface(t *testing.T) {
 	var _ func(string, ...brepartition.ServeOption) (*brepartition.Collections, error) = brepartition.OpenCollections
 	var _ func(brepartition.DurableOptions) brepartition.ServeOption = brepartition.WithDurableConfig
 	var _ func(brepartition.ServerOptions) brepartition.ServeOption = brepartition.WithServerConfig
-	var _ func(int, time.Duration) brepartition.ServeOption = brepartition.WithCoalescing
 	var _ func(int, int) brepartition.ServeOption = brepartition.WithAdmission
 	var _ func(time.Duration) brepartition.ServeOption = brepartition.WithMaintenance
 	var srv *brepartition.Server

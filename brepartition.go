@@ -19,11 +19,11 @@
 //
 // For query-heavy service workloads, wrap the index in an Engine: it runs
 // many queries concurrently over a bounded worker pool, shares an LRU
-// result cache across them, and aggregates QPS / latency statistics:
+// result cache across them, and aggregates service counters:
 //
 //	eng := brepartition.NewEngine(idx, nil)
 //	results, err := eng.BatchSearch(queries, 10)
-//	st := eng.Stats() // QPS, p50/p99 latency, page reads, cache hits
+//	st := eng.Stats() // queries, errors, page reads, cache hits
 //
 // All Index and Engine methods are safe for concurrent use; Insert and
 // Delete take the index's exclusive lock, so searches never observe a torn

@@ -100,9 +100,6 @@ func TestEngineLifecycle(t *testing.T) {
 	if st.Queries != int64(1+len(queries)) {
 		t.Fatalf("Queries = %d, want %d", st.Queries, 1+len(queries))
 	}
-	if st.QPS <= 0 || st.P99 < st.P50 {
-		t.Fatalf("implausible stats: %+v", st)
-	}
 
 	// Mutations invalidate cached answers via the version counter.
 	v0 := idx.Version()

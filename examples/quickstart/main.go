@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"time"
 
 	"brepartition"
 )
@@ -80,14 +81,16 @@ func main() {
 
 	// Batch mode: for query-heavy workloads, an Engine answers many
 	// queries concurrently (bounded worker pool + shared result cache)
-	// and aggregates service statistics. Results are identical to calling
-	// Search in a loop.
+	// and aggregates service counters (queries, cache hits, page reads).
+	// Results are identical to calling Search in a loop.
 	batch := make([][]float64, 64)
 	for i := range batch {
 		batch[i] = points[(i*7)%n]
 	}
 	eng := brepartition.NewEngine(idx, nil) // defaults: GOMAXPROCS workers
+	batchStart := time.Now()
 	results, err := eng.BatchSearch(batch, k)
+	batchWall := time.Since(batchStart)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -98,8 +101,8 @@ func main() {
 		}
 	}
 	st := eng.Stats()
-	fmt.Printf("batch of %d queries on %d workers: %.0f QPS, p50=%s p99=%s, %d page reads\n",
-		len(batch), eng.Workers(), st.QPS, st.P50, st.P99, st.PageReads)
+	fmt.Printf("batch of %d queries on %d workers: %s wall, %.0f QPS, %d page reads\n",
+		len(batch), eng.Workers(), batchWall, float64(len(batch))/batchWall.Seconds(), st.PageReads)
 
 	// The engine stays useful under mutation: Insert/Delete are safe while
 	// searches run, and the result cache invalidates itself.
@@ -215,7 +218,7 @@ func main() {
 	recovered.Close()
 
 	// Serving over the network: NewServer puts the durable directory
-	// behind HTTP (request coalescing, admission control, /metrics,
+	// behind HTTP (admission control, per-request deadlines, /metrics,
 	// hot /admin/reload — see cmd/breserved for the daemon) and a Client
 	// talks to it with pooled connections; answers are bit-identical to
 	// the in-process index. WithBinary switches from JSON to the compact

@@ -5,9 +5,8 @@
 // One Client is safe for concurrent use and keeps a pooled transport, so
 // concurrent requests multiplex over warm keep-alive connections instead
 // of paying a dial + handshake each. BatchSearch submits many queries in
-// one request — the server answers them through its batch engine — and
-// single-query Search calls lean on the server-side coalescing window
-// instead of client-side batching.
+// one request; the server submits each query to its engine, exactly as
+// it does for a single-query Search.
 //
 // Collection() scopes a client to one named collection on a
 // multi-tenant server; the unscoped methods address the "default"

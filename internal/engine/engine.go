@@ -3,7 +3,9 @@
 // of worker goroutines, one in-flight query each) with the per-subspace
 // fan-out the core index already provides (SearchParallel), shares an LRU
 // result cache across in-flight queries, and aggregates service-level
-// statistics (QPS, latency percentiles, total page reads).
+// counters (queries, errors, cache hits, page reads). Latency is not
+// kept here: the serving layer's stage histograms (internal/obs) are the
+// one latency source.
 //
 // The engine relies on the core index's locking discipline: searches take
 // the index's shared lock, mutations (Insert/Delete) its exclusive lock,
@@ -23,10 +25,7 @@ package engine
 import (
 	"context"
 	"errors"
-	"math"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -127,15 +126,6 @@ type Engine struct {
 	mutations  int64
 	pageReads  int64
 	candidates int64
-	started    time.Time // first submission
-	lastDone   time.Time // most recent completion
-	// lat is a fixed-size uniform reservoir (Vitter's Algorithm R) over
-	// every completed query's latency: long-running durable workloads see
-	// constant memory, and the percentiles estimate the whole run rather
-	// than just the most recent window.
-	lat     []time.Duration
-	latSeen int64 // completed queries offered to the reservoir
-	latRNG  *rand.Rand
 }
 
 // job is one queued unit of work: run answers it (a kNN search consulting
@@ -147,15 +137,11 @@ type job struct {
 	tr  *obs.Trace
 }
 
-// maxLatSamples bounds the latency reservoir; with 16Ki samples the p99
-// estimate stays stable while memory stays constant under sustained load.
-const maxLatSamples = 1 << 14
-
 // New creates an engine over any backend. cfg may be the zero value for
 // defaults.
 func New(ix Backend, cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{ix: ix, cfg: cfg, latRNG: rand.New(rand.NewSource(1))}
+	e := &Engine{ix: ix, cfg: cfg}
 	e.idle = sync.NewCond(&e.qmu)
 	if cfg.CacheSize > 0 {
 		e.cache = newResultCache(cfg.CacheSize)
@@ -284,12 +270,6 @@ func (e *Engine) submit(run func() (core.Result, bool, error)) *Future {
 }
 
 func (e *Engine) submitTraced(tr *obs.Trace, run func() (core.Result, bool, error)) *Future {
-	e.mu.Lock()
-	if e.started.IsZero() {
-		e.started = time.Now()
-	}
-	e.mu.Unlock()
-
 	f := &Future{done: make(chan struct{}), enq: time.Now()}
 	e.qmu.Lock()
 	if e.closed {
@@ -299,8 +279,8 @@ func (e *Engine) submitTraced(tr *obs.Trace, run func() (core.Result, bool, erro
 		return f
 	}
 	// The job writes spans/counters into tr until the worker finishes —
-	// possibly after the submitter stopped waiting (deadline, abandoned
-	// coalesce slot) and dropped its own reference. Hold one for the
+	// possibly after the submitter stopped waiting at its deadline and
+	// dropped its own reference. Hold one for the
 	// job's lifetime; the worker releases it after its last write.
 	tr.Retain()
 	e.queue = append(e.queue, job{run: run, f: f, tr: tr})
@@ -383,7 +363,7 @@ func (e *Engine) worker() {
 		}
 		j.tr.Release() // pairs with the Retain in submitTraced; last trace write was above
 		j.f.res, j.f.err = res, err
-		e.record(res, cached, err, dur)
+		e.record(res, cached, err)
 		close(j.f.done)
 	}
 }
@@ -478,13 +458,12 @@ func (e *Engine) searchOne(q []float64, k int) (res core.Result, cached bool, er
 }
 
 // record folds one finished query into the aggregate statistics. Cache
-// hits count as queries and latency samples but not as search work: their
-// page reads happened once, when the entry was populated.
-func (e *Engine) record(res core.Result, cached bool, err error, lat time.Duration) {
+// hits count as queries but not as search work: their page reads
+// happened once, when the entry was populated.
+func (e *Engine) record(res core.Result, cached bool, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.queries++
-	e.lastDone = time.Now()
 	if err != nil {
 		e.errors++
 		return
@@ -492,15 +471,6 @@ func (e *Engine) record(res core.Result, cached bool, err error, lat time.Durati
 	if !cached {
 		e.pageReads += int64(res.Stats.PageReads)
 		e.candidates += int64(res.Stats.Candidates)
-	}
-	e.latSeen++
-	if len(e.lat) < maxLatSamples {
-		e.lat = append(e.lat, lat)
-	} else if j := e.latRNG.Int63n(e.latSeen); j < maxLatSamples {
-		// Algorithm R: the i-th sample replaces a random slot with
-		// probability cap/i, keeping every completed query equally likely
-		// to be in the reservoir.
-		e.lat[j] = lat
 	}
 }
 
@@ -519,15 +489,6 @@ type Stats struct {
 	// successful queries.
 	PageReads  int64
 	Candidates int64
-	// Wall spans first submission to most recent completion.
-	Wall time.Duration
-	// QPS is Queries / Wall.
-	QPS float64
-	// P50 and P99 are latency percentiles over a fixed-size uniform
-	// reservoir sample of all completed queries (cache hits included —
-	// they are real service time); memory stays constant however long
-	// the engine runs.
-	P50, P99 time.Duration
 	// QueueDepth and InFlight snapshot the scheduler at Stats time:
 	// submitted-but-not-started queries and queries currently executing.
 	QueueDepth int
@@ -553,33 +514,5 @@ func (e *Engine) Stats() Stats {
 	if e.cache != nil {
 		st.CacheHits = e.cache.hitCount()
 	}
-	if !e.started.IsZero() && e.lastDone.After(e.started) {
-		st.Wall = e.lastDone.Sub(e.started)
-		st.QPS = float64(e.queries) / st.Wall.Seconds()
-	}
-	if len(e.lat) > 0 {
-		sorted := make([]time.Duration, len(e.lat))
-		copy(sorted, e.lat)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		st.P50 = percentile(sorted, 0.50)
-		st.P99 = percentile(sorted, 0.99)
-	}
 	return st
-}
-
-// percentile returns the p-quantile of sorted by the nearest-rank method:
-// the smallest sample ≥ p of the distribution, so the worst observation is
-// reportable as P99 even with few samples.
-func percentile(sorted []time.Duration, p float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -43,12 +43,11 @@ func (e *Env) Batch(workers, batchSize int) []Table {
 		tbl := Table{
 			Title: fmt.Sprintf("Batch throughput — %s (batch=%d, k=%d)",
 				name, batchSize, k),
-			Header: []string{"mode", "wall", "QPS", "p50", "p99", "pageReads", "speedup"},
+			Header: []string{"mode", "wall", "QPS", "pageReads", "speedup"},
 			Rows: [][]string{{
 				"sequential loop",
 				fmtDur(seqWall),
 				fmt.Sprintf("%.0f", float64(batchSize)/seqWall.Seconds()),
-				"-", "-",
 				fmt.Sprintf("%d", seqReads),
 				"1.00x",
 			}},
@@ -66,8 +65,6 @@ func (e *Env) Batch(workers, batchSize int) []Table {
 				fmt.Sprintf("engine w=%d", w),
 				fmtDur(wall),
 				fmt.Sprintf("%.0f", float64(batchSize)/wall.Seconds()),
-				fmtDur(st.P50),
-				fmtDur(st.P99),
 				fmt.Sprintf("%d", st.PageReads),
 				fmt.Sprintf("%.2fx", seqWall.Seconds()/wall.Seconds()),
 			})

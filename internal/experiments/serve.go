@@ -26,9 +26,7 @@ import (
 // shed rate (admission control turning overload into fast 429s instead
 // of unbounded queueing), and the latency of the requests that were
 // served. The offered-rate ladder climbs past the box's capacity so the
-// top rows show the load-shed regime; the coalescer's realized batch
-// size shows the micro-batching window doing its amortization work as
-// load grows.
+// top rows show the load-shed regime.
 func (e *Env) Serve(workers int) []Table {
 	name := "audio"
 	ds := e.Dataset(name)

@@ -9,12 +9,12 @@
 // Traces are pooled and reference-counted. The server acquires one per
 // sampled request at admission (NewTrace, one reference), hands it down
 // via context (NewContext/From), and each layer adds what it knows: the
-// server records admission wait, the coalescer its window delay, the
-// engine worker queue wait and run time, the shard fan-out per-shard
+// server records admission wait, the engine worker queue wait and run
+// time, the shard fan-out per-shard
 // child spans, and the engine folds the core/coldtier scan counters out
 // of the result stats. Any layer that keeps writing to the trace after
-// its caller may have returned — a queued engine job, a parked
-// coalescer waiter — takes its own reference with Retain and drops it
+// its caller may have returned — a queued engine job whose submitter
+// gave up at its deadline — takes its own reference with Retain and drops it
 // with Release when its last write is done. Release decrements; only
 // the final Release returns the trace to the pool, so an abandoned
 // request (deadline fired, handler gone) cannot have its trace recycled
@@ -30,7 +30,7 @@ import (
 
 // Stage identifies one phase of a request's life. Stages are
 // sequential except Scan/Refine/Cold, which are sub-spans of Run:
-// Admission+Coalesce+Queue+Run ≤ Total, and Scan+Refine+Cold ≤ Run.
+// Admission+Queue+Run ≤ Total, and Scan+Refine+Cold ≤ Run.
 type Stage uint8
 
 const (
@@ -38,8 +38,6 @@ const (
 	StageTotal Stage = iota
 	// StageAdmission is time spent acquiring quota/admission slots.
 	StageAdmission
-	// StageCoalesce is time parked in the coalescer's batching window.
-	StageCoalesce
 	// StageQueue is time queued in the engine before a worker picked
 	// the job up.
 	StageQueue
@@ -59,7 +57,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"total", "admission", "coalesce", "queue", "run", "scan", "refine", "cold",
+	"total", "admission", "queue", "run", "scan", "refine", "cold",
 }
 
 func (s Stage) String() string {

@@ -12,7 +12,7 @@ import (
 )
 
 func TestStageNames(t *testing.T) {
-	want := []string{"total", "admission", "coalesce", "queue", "run", "scan", "refine", "cold"}
+	want := []string{"total", "admission", "queue", "run", "scan", "refine", "cold"}
 	for i, w := range want {
 		if got := Stage(i).String(); got != w {
 			t.Errorf("Stage(%d) = %q, want %q", i, got, w)
@@ -281,7 +281,7 @@ func TestSlowLogSchema(t *testing.T) {
 	if !ok {
 		t.Fatalf("no stages group in %v", rec)
 	}
-	for _, k := range []string{"admission_ms", "coalesce_ms", "queue_ms", "run_ms", "scan_ms", "refine_ms", "cold_ms"} {
+	for _, k := range []string{"admission_ms", "queue_ms", "run_ms", "scan_ms", "refine_ms", "cold_ms"} {
 		if _, ok := stages[k]; !ok {
 			t.Errorf("stage key %q missing", k)
 		}

@@ -15,7 +15,7 @@ import (
 // Schema (all durations in fractional milliseconds):
 //
 //	msg="slow query" trace_id collection op k nq cached shards total_ms
-//	stages.{admission,coalesce,queue,run,scan,refine,cold}_ms
+//	stages.{admission,queue,run,scan,refine,cold}_ms
 //	counters.{nodes,leaves,bisect_steps,candidates,distance_comps,
 //	          page_reads,cold_scanned,cold_pruned,cold_faults,cold_hits}
 //
@@ -53,7 +53,6 @@ func (sl *SlowLog) MaybeLog(collection, op string, tr *Trace, total time.Duratio
 		slog.Float64("total_ms", ms(total)),
 		slog.Group("stages",
 			slog.Float64("admission_ms", ms(tr.Span(StageAdmission))),
-			slog.Float64("coalesce_ms", ms(tr.Span(StageCoalesce))),
 			slog.Float64("queue_ms", ms(tr.Span(StageQueue))),
 			slog.Float64("run_ms", ms(tr.Span(StageRun))),
 			slog.Float64("scan_ms", ms(tr.Span(StageScan))),

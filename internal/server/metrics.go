@@ -80,13 +80,13 @@ type metrics struct {
 //
 // Two views are exposed. The process-level series keep their
 // pre-collections names: admission classes, deadlines, reloads, and
-// the sums of per-collection coalescing and maintenance counters; the
+// the sums of per-collection maintenance counters; the
 // unlabeled engine and index series continue to describe the "default"
 // collection, so single-index dashboards keep reading unchanged. The
 // per-collection series carry a {collection="name"} label — requests,
-// quota sheds and occupancy, engine QPS and latency percentiles, index
-// and WAL gauges, and per-shard health ratios — so a multi-tenant
-// operator can see exactly which tenant is hot, shedding, or due for
+// quota sheds and occupancy, index and WAL gauges, per-shard health
+// ratios, and the stage-duration histograms — so a multi-tenant operator
+// can see exactly which tenant is hot, shedding, slow, or due for
 // compaction.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	tns := s.sortedTenants()
@@ -122,14 +122,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Sprintf(`breserved_inflight{class="mutation"} %d`, s.mutGate.inUse()),
 		fmt.Sprintf(`breserved_inflight{class="admin"} %d`, s.adminGate.inUse()))
 
-	// Sums across collections: the process-level view of coalescing and
-	// maintenance (identical to the old single-index series when only the
-	// default collection exists).
-	var coBatches, coFolded int64
+	// Sums across collections: the process-level view of maintenance
+	// (identical to the old single-index series when only the default
+	// collection exists).
 	var mSweeps, mCompactions, mErrs uint64
 	for _, tn := range tns {
-		coBatches += tn.co.batches.Load()
-		coFolded += tn.co.folded.Load()
 		ms := tn.mnt.Stats()
 		mSweeps += ms.Sweeps
 		mCompactions += ms.Compactions
@@ -169,16 +166,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	emit("Cache hits per completed query.", "gauge",
 		"breserved_engine_cache_hit_rate", g("breserved_engine_cache_hit_rate", hitRate))
-	emit("Completed queries per second of engine wall time.", "gauge",
-		"breserved_engine_qps", g("breserved_engine_qps", st.QPS))
-	emit("Engine latency reservoir percentiles, in seconds.", "summary", "breserved_engine_latency_seconds",
-		fmt.Sprintf(`breserved_engine_latency_seconds{quantile="0.5"} %g`, st.P50.Seconds()),
-		fmt.Sprintf(`breserved_engine_latency_seconds{quantile="0.99"} %g`, st.P99.Seconds()))
-
-	emit("Micro-batches dispatched by the request coalescers.", "counter",
-		"breserved_coalesce_batches_total", g("breserved_coalesce_batches_total", float64(coBatches)))
-	emit("Single-query requests folded into micro-batches.", "counter",
-		"breserved_coalesce_queries_total", g("breserved_coalesce_queries_total", float64(coFolded)))
 
 	emit("Successful hot snapshot reloads.", "counter",
 		"breserved_reload_total", g("breserved_reload_total", float64(s.m.reloads.Load())))
@@ -202,8 +189,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	reqLines := make([]string, 0, len(tns))
 	shedLines := make([]string, 0, len(tns))
 	quotaLines := make([]string, 0, len(tns))
-	qpsLines := make([]string, 0, len(tns))
-	latLines := make([]string, 0, 2*len(tns))
 	idLines := make([]string, 0, len(tns))
 	liveLines := make([]string, 0, len(tns))
 	verLines := make([]string, 0, len(tns))
@@ -213,7 +198,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var coldHit, coldFaults, coldPruned, coldResident, coldFallbacks []string
 	for _, tn := range tns {
 		name := tn.col.Name
-		est := tn.eng.Stats()
 		hd := tn.col.Handle
 		enabled := 0
 		if hd.ColdTierEnabled() {
@@ -234,10 +218,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			inUse = tn.quota.inUse()
 		}
 		quotaLines = append(quotaLines, fmt.Sprintf(`breserved_quota_inflight{collection=%q} %d`, name, inUse))
-		qpsLines = append(qpsLines, fmt.Sprintf(`breserved_collection_qps{collection=%q} %g`, name, est.QPS))
-		latLines = append(latLines,
-			fmt.Sprintf(`breserved_collection_latency_seconds{collection=%q,quantile="0.5"} %g`, name, est.P50.Seconds()),
-			fmt.Sprintf(`breserved_collection_latency_seconds{collection=%q,quantile="0.99"} %g`, name, est.P99.Seconds()))
 		idLines = append(idLines, fmt.Sprintf(`breserved_collection_ids{collection=%q} %d`, name, hd.N()))
 		liveLines = append(liveLines, fmt.Sprintf(`breserved_collection_live{collection=%q} %d`, name, hd.Live()))
 		verLines = append(verLines, fmt.Sprintf(`breserved_collection_version{collection=%q} %d`, name, hd.Version()))
@@ -250,8 +230,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	emit("Requests routed to each collection.", "counter", "breserved_collection_requests_total", reqLines...)
 	emit("Requests shed by a collection's admission quota.", "counter", "breserved_quota_shed_total", shedLines...)
 	emit("Requests holding a collection quota in-flight slot.", "gauge", "breserved_quota_inflight", quotaLines...)
-	emit("Per-collection completed queries per second of engine wall time.", "gauge", "breserved_collection_qps", qpsLines...)
-	emit("Per-collection engine latency percentiles, in seconds.", "summary", "breserved_collection_latency_seconds", latLines...)
 	emit("Per-collection ids ever assigned.", "gauge", "breserved_collection_ids", idLines...)
 	emit("Per-collection live (non-tombstoned) points.", "gauge", "breserved_collection_live", liveLines...)
 	emit("Per-collection mutation counter (WAL LSN after recovery).", "gauge", "breserved_collection_version", verLines...)

@@ -5,13 +5,13 @@
 //
 //   - multi-tenant collections: /v2/collections/{name}/... routes address
 //     independent indexes, each with its own divergence, geometry, shard
-//     layout, tag store, engine, coalescing window, maintainer, and
-//     admission quota; /v2/collections CRUD creates and drops them live.
+//     layout, tag store, engine, maintainer, and admission quota;
+//     /v2/collections CRUD creates and drops them live.
 //     The /v1 routes remain a thin delegation to the "default" collection,
 //     so pre-collections clients keep working bit-identically;
-//   - request coalescing: concurrent single-query search requests fold
-//     into engine.BatchSearch calls per collection (size and max-delay
-//     triggers);
+//   - one query path: every search-class request, JSON single query,
+//     JSON batch, or binary frame, submits each query to the collection's
+//     engine and awaits the futures under the request deadline;
 //   - admission control: global per-class bounded in-flight gates (search,
 //     mutation, admin) shed excess load with 429 + Retry-After, and each
 //     collection may carry its own quota (spec.Quota) shedding with the
@@ -60,14 +60,6 @@ import (
 
 // Config tunes the serving layer. The zero value asks for defaults.
 type Config struct {
-	// CoalesceBatch is the micro-batch size trigger: a coalescing bucket
-	// holding this many queries dispatches immediately (0 = 16, 1
-	// effectively disables coalescing).
-	CoalesceBatch int
-	// CoalesceDelay is the micro-batch time trigger: the oldest query in
-	// a bucket waits at most this long before the bucket dispatches
-	// (0 = 1ms; negative dispatches every query immediately).
-	CoalesceDelay time.Duration
 	// MaxInFlight bounds concurrently admitted search-class requests
 	// (search/approx/range, JSON or binary) across all collections;
 	// excess load is shed with 429 (0 = 4×GOMAXPROCS). It is also the
@@ -130,12 +122,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.CoalesceBatch == 0 {
-		c.CoalesceBatch = 16
-	}
-	if c.CoalesceDelay == 0 {
-		c.CoalesceDelay = time.Millisecond
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
@@ -225,12 +211,11 @@ func (g *quotaGate) release() {
 
 func (g *quotaGate) inUse() int { return len(g.inflight) }
 
-// tenant is one collection's serving pipeline: its engine, coalescing
-// window, maintainer, quota, and counters.
+// tenant is one collection's serving pipeline: its engine, maintainer,
+// quota, and counters.
 type tenant struct {
 	col   *collection.Collection
 	eng   *engine.Engine
-	co    *coalescer
 	mnt   *maintain.Maintainer
 	quota *quotaGate // nil = no per-collection quota
 
@@ -244,7 +229,6 @@ type tenant struct {
 
 func (tn *tenant) close() {
 	tn.mnt.Close()
-	tn.co.close()
 	tn.eng.Close()
 }
 
@@ -367,7 +351,6 @@ func (s *Server) addTenant(c *collection.Collection) *tenant {
 		}
 	}
 	tn := &tenant{col: c, eng: engine.New(c.Handle, s.cfg.Engine), hist: obs.NewStageHists()}
-	tn.co = newCoalescer(tn.eng, s.cfg.CoalesceBatch, s.cfg.CoalesceDelay)
 	tn.mnt = maintain.New(c.Handle, maintain.Config{
 		Interval:     s.cfg.MaintainInterval,
 		MinLiveRatio: s.cfg.MaintainMinLive,
@@ -419,10 +402,9 @@ func (s *Server) Engine() *engine.Engine {
 	return tn.eng
 }
 
-// Close drains every collection's serving pipeline: pending coalescing
-// buckets dispatch and complete, engines stop accepting work and finish
-// in-flight queries. Handles (and their WALs) belong to the caller and
-// are not closed. In-flight HTTP requests should be drained first
+// Close drains every collection's serving pipeline: engines stop
+// accepting work and finish in-flight queries. Handles (and their WALs)
+// belong to the caller and are not closed. In-flight HTTP requests should be drained first
 // (http.Server.Shutdown); later submissions fail with 503.
 func (s *Server) Close() error {
 	for _, tn := range s.sortedTenants() {
@@ -688,7 +670,7 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 	if !readJSON(w, r, &req) {
 		return
 	}
-	queries, single, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
@@ -697,7 +679,7 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 	if req.Filter != nil {
 		results, err = s.searchFiltered(tn, r, queries, req.K, req.Filter)
 	} else {
-		results, err = s.searchMany(tn, r, queries, req.K, single)
+		results, err = s.searchMany(tn, r, queries, req.K)
 	}
 	if err != nil {
 		s.writeError(w, err)
@@ -707,27 +689,25 @@ func (s *Server) handleSearch(tn *tenant, w http.ResponseWriter, r *http.Request
 }
 
 // normalizeQueries folds the single-vs-batch JSON shape into one query
-// list and validates geometry up front, so nothing invalid enters the
-// coalescer.
-func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float64, bool, bool) {
+// list and bounds its length.
+func normalizeQueries(w http.ResponseWriter, req wire.SearchRequest) ([][]float64, bool) {
 	if (req.Q == nil) == (req.Queries == nil) {
 		badRequest(w, `exactly one of "q" and "queries" must be set`)
-		return nil, false, false
+		return nil, false
 	}
 	queries := req.Queries
-	single := false
 	if req.Q != nil {
-		queries, single = [][]float64{req.Q}, true
+		queries = [][]float64{req.Q}
 	}
 	if len(queries) == 0 || len(queries) > wire.MaxBatch {
 		badRequest(w, fmt.Sprintf("need between 1 and %d queries, got %d", wire.MaxBatch, len(queries)))
-		return nil, false, false
+		return nil, false
 	}
-	return queries, single, true
+	return queries, true
 }
 
 // validate rejects geometry and coordinate problems before any query is
-// scheduled, so coalesced batches cannot fail on one bad member.
+// scheduled, so a request either submits all its queries or none.
 func validate(tn *tenant, queries [][]float64, k int) error {
 	if k <= 0 {
 		return core.ErrK
@@ -746,22 +726,14 @@ func validate(tn *tenant, queries [][]float64, k int) error {
 	return nil
 }
 
-// searchMany answers exact kNN for every query: single queries go
-// through the collection's coalescing window, batches straight to its
-// engine (the client already batched them).
-func (s *Server) searchMany(tn *tenant, r *http.Request, queries [][]float64, k int, single bool) ([]wire.Result, error) {
+// searchMany answers exact kNN for every query, each submitted to the
+// collection's engine as its own job.
+func (s *Server) searchMany(tn *tenant, r *http.Request, queries [][]float64, k int) ([]wire.Result, error) {
 	if err := validate(tn, queries, k); err != nil {
 		return nil, err
 	}
 	tr := obs.From(r.Context())
 	tr.SetQuery(k, len(queries))
-	if single {
-		res, err := tn.co.search(r.Context(), queries[0], k)
-		if err != nil {
-			return nil, err
-		}
-		return []wire.Result{toWire(res)}, nil
-	}
 	futs := make([]*engine.Future, len(queries))
 	for i, q := range queries {
 		futs[i] = tn.eng.SubmitTraced(tr, q, k)
@@ -771,8 +743,8 @@ func (s *Server) searchMany(tn *tenant, r *http.Request, queries [][]float64, k 
 
 // searchFiltered answers the exact top-k over only the points the tag
 // filter admits. The predicate rides into the leaf scan (pre-filtered
-// pruning radii, never a post-filter), bypassing the coalescer and the
-// version-keyed result cache — neither knows about predicates.
+// pruning radii, never a post-filter), bypassing the version-keyed
+// result cache, which does not know about predicates.
 func (s *Server) searchFiltered(tn *tenant, r *http.Request, queries [][]float64, k int, f *wire.Filter) ([]wire.Result, error) {
 	if err := validate(tn, queries, k); err != nil {
 		return nil, err
@@ -820,7 +792,7 @@ func (s *Server) handleApprox(tn *tenant, w http.ResponseWriter, r *http.Request
 		s.writeError(w, fmt.Errorf("%w: approx search does not support filters", wire.ErrBadFilter))
 		return
 	}
-	queries, _, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
@@ -857,7 +829,7 @@ func (s *Server) handleRange(tn *tenant, w http.ResponseWriter, r *http.Request)
 		s.writeError(w, fmt.Errorf("%w: range search does not support filters", wire.ErrBadFilter))
 		return
 	}
-	queries, _, ok := normalizeQueries(w, req)
+	queries, ok := normalizeQueries(w, req)
 	if !ok {
 		return
 	}
@@ -999,7 +971,7 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	var results []wire.Result
 	switch req.Op {
 	case wire.OpSearch:
-		results, err = s.searchMany(tn, r, req.Queries, req.K, len(req.Queries) == 1)
+		results, err = s.searchMany(tn, r, req.Queries, req.K)
 		resp.Results = results
 	case wire.OpApprox:
 		results, err = s.approxMany(tn, r, req.Queries, req.K, req.Param)

@@ -10,13 +10,17 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"brepartition/internal/bregman"
 	"brepartition/internal/core"
+	"brepartition/internal/engine"
+	"brepartition/internal/obs"
 	"brepartition/internal/shard"
 	"brepartition/internal/wire"
 )
@@ -72,6 +76,49 @@ func newTestServer(t *testing.T, n int, cfg Config) *testServer {
 		h.Close()
 	})
 	return &testServer{srv: srv, ts: ts, handle: h, oracle: oracle, points: pts}
+}
+
+// blockingBackend is an engine backend whose kNN searches park until the
+// test closes release, so admitted requests stay in flight for as long
+// as a test needs them there. A traced search first sends its trace on
+// parked, so a test can hold the trace a parked job still records into.
+type blockingBackend struct {
+	engine.Backend
+	release chan struct{}
+	parked  chan *obs.Trace
+}
+
+func (b blockingBackend) Search(q []float64, k int) (core.Result, error) {
+	<-b.release
+	return b.Backend.Search(q, k)
+}
+
+func (b blockingBackend) SearchTraced(tr *obs.Trace, q []float64, k int) (core.Result, error) {
+	b.parked <- tr
+	return b.Search(q, k)
+}
+
+// parkSearches installs an uncached engine over blockingBackend as the
+// default collection's engine and returns the function that releases
+// the parked searches, plus the channel traced searches park on.
+// Cleanup releases them too, so a failing test cannot leave Close
+// waiting on a parked worker.
+func parkSearches(t *testing.T, s *testServer) (release func(), parked <-chan *obs.Trace) {
+	t.Helper()
+	tn, err := s.srv.tenant(wire.DefaultCollection)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(ch) }) }
+	// Buffered beyond the traced searches any test parks, so a parked
+	// search never blocks on the send.
+	traces := make(chan *obs.Trace, 8)
+	tn.eng.Close()
+	tn.eng = engine.New(blockingBackend{Backend: s.handle, release: ch, parked: traces}, engine.Config{CacheSize: -1})
+	t.Cleanup(release)
+	return release, traces
 }
 
 func (s *testServer) postJSON(t *testing.T, path string, body any) (*http.Response, []byte) {
@@ -345,29 +392,24 @@ func TestServerRejectsBadInput(t *testing.T) {
 // the queue depth.
 func TestServerShedsUnderOverload(t *testing.T) {
 	s := newTestServer(t, 150, Config{
-		MaxInFlight:   2,
-		CoalesceBatch: 64,                     // size trigger unreachable
-		CoalesceDelay: 300 * time.Millisecond, // park admitted requests in the window
-		RetryAfter:    2 * time.Second,
+		MaxInFlight: 2,
+		RetryAfter:  2 * time.Second,
 	})
+	release, _ := parkSearches(t, s)
 	q := testPoints(1, 10, 3)[0]
 
-	// Two requests occupy both in-flight slots inside the coalescing
-	// window.
+	// Two requests occupy both in-flight slots, parked in the engine.
 	var wg sync.WaitGroup
-	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			<-release
 			resp, body := s.postJSON(t, "/v1/search", wire.SearchRequest{Q: q, K: 3})
 			if resp.StatusCode != http.StatusOK {
 				t.Errorf("parked request failed: %d %s", resp.StatusCode, body)
 			}
 		}()
 	}
-	close(release)
 
 	// Wait until both are admitted (poll the gate, not sleep).
 	deadline := time.Now().Add(5 * time.Second)
@@ -405,10 +447,10 @@ func TestServerShedsUnderOverload(t *testing.T) {
 		}
 	}
 
+	release()
 	wg.Wait()
 
-	// After the window flushes, both parked requests were answered by ONE
-	// coalesced batch.
+	// Once released, both parked requests were answered and left the gate.
 	mresp, err = http.Get(s.ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -417,24 +459,87 @@ func TestServerShedsUnderOverload(t *testing.T) {
 	mresp.Body.Close()
 	metricsText = string(mbody)
 	for _, want := range []string{
-		"breserved_coalesce_batches_total 1",
-		"breserved_coalesce_queries_total 2",
 		`breserved_inflight{class="search"} 0`,
 	} {
 		if !strings.Contains(metricsText, want) {
-			t.Fatalf("post-flush metrics missing %q:\n%s", want, metricsText)
+			t.Fatalf("post-release metrics missing %q:\n%s", want, metricsText)
 		}
 	}
 }
 
 // TestServerDeadline pins the per-request deadline: a request whose
-// X-Timeout-Ms expires inside the coalescing window gets 504 and the
-// deadline counter moves.
+// X-Timeout-Ms expires while its search is still in the engine gets 504
+// and the deadline counter moves.
 func TestServerDeadline(t *testing.T) {
-	s := newTestServer(t, 100, Config{
-		CoalesceBatch: 64,
-		CoalesceDelay: 250 * time.Millisecond,
-	})
+	s := newTestServer(t, 100, Config{})
+	release, _ := parkSearches(t, s)
+	resp := postTimedSearch(t, s, "")
+	resp.Body.Close()
+	mresp, _ := http.Get(s.ts.URL + "/metrics")
+	mbody, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if !strings.Contains(string(mbody), "breserved_deadline_total 1") {
+		t.Fatalf("deadline counter not incremented:\n%s", mbody)
+	}
+	release()
+	s.srv.Engine().Drain()
+}
+
+// TestCoalescerAbandonedTraceStaysLive pins the trace lifetime contract
+// under abandonment (the name dates from when the request coalescer held
+// the abandoned trace; searches now park in the engine job instead): a
+// traced request that gives up on its deadline drops only its own
+// reference and the engine job keeps the trace alive, so the pool cannot
+// re-issue it before the parked search records its queue and run spans
+// (under -race a premature release also reports a reset vs AddSpan race).
+func TestCoalescerAbandonedTraceStaysLive(t *testing.T) {
+	s := newTestServer(t, 100, Config{})
+	release, parked := parkSearches(t, s)
+	resp := postTimedSearch(t, s, "abc")
+	resp.Body.Close()
+
+	tr := <-parked
+	// The handler has dropped its trace reference once its request left
+	// the admission gate.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.srv.searchGate.inUse() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned request never left the gate")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Churn the pool from every P the way concurrent requests would: a
+	// trace released too early sits in the private slot of one P.
+	var churn sync.WaitGroup
+	var reissued atomic.Bool
+	for g := 0; g < 4*runtime.GOMAXPROCS(0); g++ {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := 0; i < 1000; i++ {
+				tmp := obs.NewTrace(obs.NextID())
+				if tmp == tr {
+					reissued.Store(true)
+				}
+				tmp.AddSpan(obs.StageRun, time.Microsecond)
+				tmp.Release()
+				runtime.Gosched()
+			}
+		}()
+	}
+	churn.Wait()
+	if reissued.Load() {
+		t.Fatal("pool re-issued a trace a parked engine job still holds")
+	}
+	release()
+	s.srv.Engine().Drain()
+}
+
+// postTimedSearch sends one search with a 20ms X-Timeout-Ms (and an
+// X-Trace-Id when traceID is set) and fails the test unless it is
+// answered 504 while its search is parked in the engine.
+func postTimedSearch(t *testing.T, s *testServer, traceID string) *http.Response {
+	t.Helper()
 	q := testPoints(1, 10, 3)[0]
 	raw, _ := json.Marshal(wire.SearchRequest{Q: q, K: 3})
 	req, err := http.NewRequest("POST", s.ts.URL+"/v1/search", bytes.NewReader(raw))
@@ -443,21 +548,19 @@ func TestServerDeadline(t *testing.T) {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set("X-Timeout-Ms", "20")
+	if traceID != "" {
+		req.Header.Set("X-Trace-Id", traceID)
+	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
 		t.Fatalf("status = %d (%s), want 504", resp.StatusCode, body)
 	}
-	mresp, _ := http.Get(s.ts.URL + "/metrics")
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "breserved_deadline_total 1") {
-		t.Fatalf("deadline counter not incremented:\n%s", mbody)
-	}
+	return resp
 }
 
 // TestServerReloadUnderConcurrentLoad is the hot-swap acceptance test:

@@ -45,7 +45,7 @@ type slowLine struct {
 
 var (
 	wantStageKeys = []string{
-		"admission_ms", "coalesce_ms", "queue_ms", "run_ms",
+		"admission_ms", "queue_ms", "run_ms",
 		"scan_ms", "refine_ms", "cold_ms",
 	}
 	wantCounterKeys = []string{
@@ -73,7 +73,7 @@ func parseSlowLines(t *testing.T, buf *bytes.Buffer) []slowLine {
 // TestTraceStageIdentityAndSlowLog pins the end-to-end trace contract:
 // with a 1ns threshold every search logs exactly one well-formed JSON
 // line, the line carries every stage and counter key, and the
-// sequential stage spans (admission+coalesce+queue+run) tile the
+// sequential stage spans (admission+queue+run) tile the
 // request's total duration — they never exceed it, and the uncovered
 // remainder is bounded handler overhead.
 func TestTraceStageIdentityAndSlowLog(t *testing.T) {
@@ -130,13 +130,12 @@ func TestTraceStageIdentityAndSlowLog(t *testing.T) {
 		if l.TotalMS <= 0 {
 			t.Fatalf("line %d: total_ms %g", i, l.TotalMS)
 		}
-		// The four sequential stages are disjoint sub-intervals of the
+		// The three sequential stages are disjoint sub-intervals of the
 		// request, so their sum never exceeds the total (small slack for
 		// clock granularity), and what they leave uncovered is just
 		// decode/encode/fan-out overhead — bounded, not proportional to
 		// search work.
-		seq := l.Stages["admission_ms"] + l.Stages["coalesce_ms"] +
-			l.Stages["queue_ms"] + l.Stages["run_ms"]
+		seq := l.Stages["admission_ms"] + l.Stages["queue_ms"] + l.Stages["run_ms"]
 		if seq > l.TotalMS*1.05+0.1 {
 			t.Fatalf("line %d: sequential stages %.3fms exceed total %.3fms", i, seq, l.TotalMS)
 		}
@@ -358,7 +357,6 @@ func TestQuotaShedSkipsLatencyObservation(t *testing.T) {
 	var buf bytes.Buffer
 	f := newMultiFixture(t, Config{
 		MaxInFlight:        64,
-		CoalesceBatch:      1,
 		TraceSample:        1,
 		SlowQueryThreshold: time.Nanosecond,
 		SlowQueryLog:       slog.New(slog.NewJSONHandler(&buf, nil)),

@@ -8,8 +8,8 @@ import (
 )
 
 // BenchmarkServeLoopback measures the full serving stack over HTTP
-// loopback — client encode, keep-alive transport, admission, the
-// coalescing window, engine batch execution, and response decode — with
+// loopback — client encode, keep-alive transport, admission, engine
+// execution, and response decode — with
 // one concurrent client goroutine per GOMAXPROCS (b.RunParallel), using
 // the binary protocol. Compare against BenchmarkSearchM8 for the pure
 // in-process cost; the delta is the serving overhead budget.

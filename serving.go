@@ -16,10 +16,9 @@ import (
 // Network serving layer: breserved server + client (see cmd/breserved).
 // ---------------------------------------------------------------------------
 
-// ServerOptions tunes the serving layer: the request-coalescing window
-// (CoalesceBatch/CoalesceDelay), admission control (MaxInFlight,
-// MaxMutations, Timeout, RetryAfter), the per-collection query engines,
-// and background maintenance. Prefer the ServeOption helpers; the
+// ServerOptions tunes the serving layer: admission control
+// (MaxInFlight, MaxMutations, Timeout, RetryAfter), the per-collection
+// query engines, and background maintenance. Prefer the ServeOption helpers; the
 // struct remains for bulk configuration via WithServerConfig.
 type ServerOptions = server.Config
 
@@ -45,13 +44,6 @@ func WithDurableConfig(o DurableOptions) ServeOption {
 // hatch for options without a dedicated helper).
 func WithServerConfig(o ServerOptions) ServeOption {
 	return func(c *serveConfig) { c.server = o }
-}
-
-// WithCoalescing tunes the request-coalescing window: concurrent
-// single-query searches fold into engine batches of up to batch
-// queries, waiting at most delay.
-func WithCoalescing(batch int, delay time.Duration) ServeOption {
-	return func(c *serveConfig) { c.server.CoalesceBatch, c.server.CoalesceDelay = batch, delay }
 }
 
 // WithAdmission bounds concurrently admitted requests per class; excess
@@ -260,8 +252,8 @@ func (s *Server) Divergence() Divergence {
 // reload metric too).
 func (s *Server) Reload() error { return s.cols.inner.Reload() }
 
-// Close drains the serving pipeline (pending coalesced batches and
-// in-flight engine queries complete), then closes the registry's WALs.
+// Close drains the serving pipeline (in-flight engine queries
+// complete), then closes the registry's WALs.
 // Drain in-flight HTTP requests first (http.Server.Shutdown).
 func (s *Server) Close() error { return s.cols.Close() }
 
