@@ -160,6 +160,7 @@ func (ix *Index) SearchColdAppend(dst []topk.Item, q []float64, k int) (Result, 
 			PageReads:      st.PageReads,
 			Candidates:     st.Candidates,
 			DistanceComps:  st.DistanceComps,
+			ExactComps:     st.DistanceComps,
 			ApproxC:        1,
 			ColdScanned:    st.Scanned,
 			ColdPruned:     st.Pruned,

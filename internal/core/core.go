@@ -187,7 +187,16 @@ type SearchStats struct {
 	ApproxC       float64
 	NodesVisited  int
 	LeavesVisited int
+	// DistanceComps counts the divergence evaluations a query is charged
+	// under the paper's cost model: the filter's node evaluations plus one
+	// per refined candidate (or per cold-tier survivor).
 	DistanceComps int
+	// ExactComps counts the exact kernel evaluations the refinement
+	// actually made: the refine screen's survivors on the hot path (every
+	// candidate when the kernel is not screened), the verified survivors
+	// on the cold tier. ExactComps ≤ Candidates; the gap is the work the
+	// screen saved.
+	ExactComps int
 	// BisectSteps counts the BB-tree geodesic bisection steps spent
 	// deciding which nodes to prune.
 	BisectSteps int
@@ -282,10 +291,15 @@ func Build(div bregman.Divergence, points [][]float64, opts Options) (*Index, er
 	// Step 3 (Lines 4–7): offline tuple transform, into one flat backing
 	// (row views per point) so Algorithm 4's O(n·M) bound scan streams.
 	// Each point's tuples are independent, so the transform fans out over
-	// disjoint row ranges.
+	// disjoint row ranges. The same pass derives the full-space scalars of
+	// the refine screen (kernel.ScreenPoint) for the screened kernels.
 	nparts := len(ix.Parts)
 	tupleArena := make([]transform.PointTuple, len(rows)*nparts)
 	ix.Tuples = make([][]transform.PointTuple, len(rows))
+	var screen []kernel.ScreenPoint
+	if kernel.Screens(ix.kern) {
+		screen = make([]kernel.ScreenPoint, len(rows))
+	}
 	parallelRanges(len(rows), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			off := i * nparts
@@ -294,6 +308,9 @@ func Build(div bregman.Divergence, points [][]float64, opts Options) (*Index, er
 				row[s] = transform.PTransformSub(div, rows[i], dims)
 			}
 			ix.Tuples[i] = row
+			if screen != nil {
+				screen[i], _ = kernel.PointScreen(ix.kern, rows[i])
+			}
 		}
 	})
 
@@ -303,6 +320,9 @@ func Build(div bregman.Divergence, points [][]float64, opts Options) (*Index, er
 	forest, err := bbforest.Build(div, rows, ix.Parts, fcfg)
 	if err != nil {
 		return nil, err
+	}
+	if screen != nil {
+		forest.Store.SetScreen(ix.kern, screen)
 	}
 	ix.Forest = forest
 	ix.BuildTime = time.Since(start)
@@ -584,8 +604,14 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 	// Line 8: refinement. The query's hoisted kernel terms live in the
 	// pooled context, so preparing them allocates nothing when warm.
 	refineStart := time.Now()
+	exact := 0
 	if kr := min(k, len(cands)); kr > 0 {
 		ctx.sel.ResetK(kr)
+		if len(ctx.dist) < len(cands) {
+			// One slot per candidate lets the refine screen keep every
+			// lower bound between its two passes.
+			ctx.dist = make([]float64, len(cands))
+		}
 		var prep []float64
 		if n := ix.kern.QueryScratchLen(len(q)); n > 0 {
 			if cap(ctx.qprep) < n {
@@ -594,7 +620,7 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 			prep = ctx.qprep[:n]
 			ix.kern.PrepQuery(prep, q)
 		}
-		scan.RefineCtx(ix.kern, ctx.sess, cands, q, ctx.sel, ctx.dist, prep)
+		exact = scan.RefineCtxCount(ix.kern, ctx.sess, cands, q, ctx.sel, ctx.dist, prep)
 		dst = ctx.sel.AppendItems(dst)
 	}
 	refineTime := time.Since(refineStart)
@@ -609,6 +635,7 @@ func (ix *Index) search(ctx *searchContext, dst []topk.Item, q []float64, k int,
 			NodesVisited:  ts.NodesVisited,
 			LeavesVisited: ts.LeavesVisited,
 			DistanceComps: ts.DistanceComps + len(cands),
+			ExactComps:    exact,
 			BisectSteps:   ts.BisectSteps,
 			FilterTime:    filterTime,
 			RefineTime:    refineTime,

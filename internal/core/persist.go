@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 
 	"brepartition/internal/bbforest"
 	"brepartition/internal/bbtree"
@@ -288,6 +289,18 @@ func ReadFileWith(path string, resolve func(name string) (bregman.Divergence, er
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadIndexFile, err)
 	}
+	kern := kernel.For(div)
+	if kernel.Screens(kern) {
+		// The refine screen's scalars derive from the coordinates; they
+		// are recomputed on load rather than stored in the file.
+		screen := make([]kernel.ScreenPoint, n)
+		parallelRanges(n, runtime.GOMAXPROCS(0), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				screen[i], _ = kernel.PointScreen(kern, points[i])
+			}
+		})
+		store.SetScreen(kern, screen)
+	}
 	ix := &Index{
 		Div:    div,
 		Points: points,
@@ -296,7 +309,7 @@ func ReadFileWith(path string, resolve func(name string) (bregman.Divergence, er
 		Forest: &bbforest.Forest{Trees: trees, Parts: parts, Store: store},
 		opts:   Options{Disk: disk.Config{PageSize: pageSize, IOPS: 50_000}},
 		d:      d,
-		kern:   kernel.For(div),
+		kern:   kern,
 		built:  n,
 	}
 	return ix, nil

@@ -61,6 +61,7 @@ func (ix *Index) RangeSearch(q []float64, r float64) ([]topk.Item, SearchStats, 
 		NodesVisited:  ts.NodesVisited,
 		LeavesVisited: ts.LeavesVisited,
 		DistanceComps: ts.DistanceComps + len(cands),
+		ExactComps:    len(cands),
 		BisectSteps:   ts.BisectSteps,
 		ApproxC:       1,
 	}
@@ -132,7 +133,18 @@ func (ix *Index) SearchParallel(q []float64, k, workers int) (Result, error) {
 		}
 	}
 
-	items := scan.Refine(ix.Div, sess, cands, q, k)
+	var items []topk.Item
+	exact := 0
+	if kr := min(k, len(cands)); kr > 0 {
+		sel := topk.New(kr)
+		var prep []float64
+		if n := ix.kern.QueryScratchLen(len(q)); n > 0 {
+			prep = make([]float64, n)
+			ix.kern.PrepQuery(prep, q)
+		}
+		exact = scan.RefineCtxCount(ix.kern, sess, cands, q, sel, make([]float64, scan.RefineChunk), prep)
+		items = sel.Items()
+	}
 	return Result{
 		Items: items,
 		Stats: SearchStats{
@@ -143,6 +155,7 @@ func (ix *Index) SearchParallel(q []float64, k, workers int) (Result, error) {
 			NodesVisited:  ts.NodesVisited,
 			LeavesVisited: ts.LeavesVisited,
 			DistanceComps: ts.DistanceComps + len(cands),
+			ExactComps:    exact,
 			BisectSteps:   ts.BisectSteps,
 		},
 	}, nil

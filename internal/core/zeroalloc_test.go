@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"brepartition/internal/bregman"
+	"brepartition/internal/kernel"
 	"brepartition/internal/obs"
 	"brepartition/internal/topk"
 )
@@ -18,12 +19,15 @@ import (
 // block refinement, result sort) runs out of reused memory. The loop
 // also threads a nil *obs.Trace through the recording calls the serving
 // path makes per query: tracing-off must add zero allocations (and zero
-// work beyond the nil checks) to the steady state.
+// work beyond the nil checks) to the steady state. The exponential and
+// GKL indexes refine through the two-pass refine screen (checked: fewer
+// exact evaluations than candidates), so its passes are held to zero
+// allocations too.
 func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool drop items; allocation counts are meaningless")
 	}
-	for _, div := range []bregman.Divergence{bregman.SquaredEuclidean{}, bregman.Exponential{}} {
+	for _, div := range []bregman.Divergence{bregman.SquaredEuclidean{}, bregman.Exponential{}, bregman.GeneralizedKL{}} {
 		ix, dst, q := warmSearchState(t, div)
 		const k = 10
 		var tr *obs.Trace // tracing off: the serving path threads nil
@@ -38,6 +42,7 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 				Nodes:         int64(res.Stats.NodesVisited),
 				Candidates:    int64(res.Stats.Candidates),
 				DistanceComps: int64(res.Stats.DistanceComps),
+				ExactComps:    int64(res.Stats.ExactComps),
 			})
 			tr.MarkCached()
 			tr.AddSpan(obs.StageTotal, time.Nanosecond)
@@ -45,6 +50,13 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: steady-state SearchAppend allocates %.1f times per op, want 0", div.Name(), allocs)
+		}
+		res, err := ix.SearchAppend(dst[:0], q, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if screened := res.Stats.ExactComps < res.Stats.Candidates; screened != kernel.Screens(ix.Kernel()) {
+			t.Fatalf("%s: %d exact evaluations for %d candidates", div.Name(), res.Stats.ExactComps, res.Stats.Candidates)
 		}
 	}
 }
@@ -55,7 +67,7 @@ func TestSearchSteadyStateZeroAlloc(t *testing.T) {
 // answers): the pooled zero-alloc path must return exactly what the
 // allocating Search does.
 func TestSearchAppendMatchesSearch(t *testing.T) {
-	for _, div := range []bregman.Divergence{bregman.SquaredEuclidean{}, bregman.Exponential{}} {
+	for _, div := range []bregman.Divergence{bregman.SquaredEuclidean{}, bregman.Exponential{}, bregman.GeneralizedKL{}} {
 		ix, dst, q := warmSearchState(t, div)
 		const k = 10
 		want, err := ix.Search(q, k)

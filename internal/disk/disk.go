@@ -72,6 +72,13 @@ type Store struct {
 	arena []float64
 	pager *pager
 
+	// screen holds the refine screen's build-time scalars
+	// (kernel.ScreenPoint), indexed by point id, for the kernel named
+	// screenKern; see SetScreen. Points appended later have none. They
+	// are derived from the coordinates and never written to a file.
+	screen     []kernel.ScreenPoint
+	screenKern string
+
 	// totalPageReads accumulates across all sessions; atomic because
 	// concurrent queries each run their own session against one store.
 	totalPageReads atomic.Int64
@@ -193,6 +200,24 @@ func (s *Store) SlotBlock(lo, hi int) kernel.FlatBlock {
 		return blk
 	}
 	return kernel.FlatBlock{Data: s.arena[lo*s.dim : hi*s.dim], Dim: s.dim, N: hi - lo}
+}
+
+// SetScreen installs the refine screen's per-point scalars computed under
+// kern, indexed by point id (pts[id] for id < len(pts)). It is a build or
+// load step: call it before the store is shared with searches.
+func (s *Store) SetScreen(kern kernel.Kernel, pts []kernel.ScreenPoint) {
+	s.screen, s.screenKern = pts, kern.Name()
+}
+
+// ScreenPoints returns the per-point screen scalars installed for kern,
+// indexed by point id, or nil when none were computed under that kernel.
+// Ids at or beyond the returned length (points appended after the build)
+// have no scalars.
+func (s *Store) ScreenPoints(kern kernel.Kernel) []kernel.ScreenPoint {
+	if s.screen == nil || s.screenKern != kern.Name() {
+		return nil
+	}
+	return s.screen
 }
 
 // TotalPageReads returns the store-lifetime page read count across all

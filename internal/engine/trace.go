@@ -141,6 +141,7 @@ func foldStats(tr *obs.Trace, st core.SearchStats) {
 		BisectSteps:   int64(st.BisectSteps),
 		Candidates:    int64(st.Candidates),
 		DistanceComps: int64(st.DistanceComps),
+		ExactComps:    int64(st.ExactComps),
 		PageReads:     int64(st.PageReads),
 		ColdScanned:   int64(st.ColdScanned),
 		ColdPruned:    int64(st.ColdPruned),

@@ -126,8 +126,8 @@ func TestServeShape(t *testing.T) {
 		t.Fatalf("got %d rate rows, want 4", len(tables[0].Rows))
 	}
 	for _, row := range tables[0].Rows {
-		if len(row) != 5 {
-			t.Fatalf("row %v has %d columns, want 5", row, len(row))
+		if len(row) != 7 {
+			t.Fatalf("row %v has %d columns, want 7", row, len(row))
 		}
 	}
 }

@@ -53,32 +53,38 @@ func (e *Env) Serve(workers int) []Table {
 	}
 	h := shard.NewHandle(dx)
 	defer h.Close()
+	// The result cache is off: every rung, and the calibration burst,
+	// measures searches the index actually runs.
 	srv := server.New(h,
 		func() (*shard.Durable, error) { return shard.OpenDurable(root, opts) },
-		server.Config{Engine: engine.Config{Workers: workers}})
+		server.Config{Engine: engine.Config{Workers: workers, CacheSize: -1}})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
 
 	cl := client.New(ts.URL, client.Options{Binary: true, Timeout: 5 * time.Second})
 	defer cl.Close()
 
-	queries := e.Queries(name)
+	// Queries are the dataset's own points taken in turn, so no query
+	// repeats until the whole dataset has been asked.
+	pool := &queryPool{points: ds.Points}
 	const k = 10
 
 	// Calibrate capacity with a short closed-loop burst, then ladder the
 	// offered rate from comfortable to ~4x capacity.
-	capacityQPS := calibrate(cl, queries, k)
+	capacityQPS := calibrate(cl, pool, k)
 	rates := []float64{0.5 * capacityQPS, capacityQPS, 2 * capacityQPS, 4 * capacityQPS}
 
 	tbl := Table{
-		Title: fmt.Sprintf("Open-loop serving — %s (dim=%d, k=%d, workers=%d, binary protocol; ~%.0f QPS closed-loop capacity)",
+		Title: fmt.Sprintf("Open-loop serving — %s (dim=%d, k=%d, workers=%d, binary protocol, result cache off; ~%.0f QPS closed-loop capacity)",
 			name, dim, k, srv.Engine().Workers(), capacityQPS),
-		Header: []string{"offered QPS", "achieved QPS", "shed rate", "p50", "p99"},
+		Header: []string{"offered QPS", "sent/offered", "generator lag p99", "achieved QPS", "shed rate", "p50", "p99"},
 	}
 	for _, rate := range rates {
-		res := openLoop(cl, queries, k, rate, 700*time.Millisecond)
+		res := openLoop(cl, pool, k, rate, 700*time.Millisecond)
 		tbl.Rows = append(tbl.Rows, []string{
 			fmt.Sprintf("%.0f", rate),
+			fmt.Sprintf("%d/%d", res.sent, res.offered),
+			res.lagP99.Round(10 * time.Microsecond).String(),
 			fmt.Sprintf("%.0f", res.achievedQPS),
 			fmt.Sprintf("%.1f%%", 100*res.shedRate),
 			res.p50.Round(10 * time.Microsecond).String(),
@@ -88,28 +94,40 @@ func (e *Env) Serve(workers int) []Table {
 	return []Table{tbl}
 }
 
+// queryPool hands out the dataset's points as queries in turn; safe for
+// concurrent use.
+type queryPool struct {
+	points [][]float64
+	next   atomic.Int64
+}
+
+func (p *queryPool) get() []float64 {
+	i := p.next.Add(1) - 1
+	return p.points[int(i%int64(len(p.points)))]
+}
+
 // calibrate estimates the box's closed-loop serving capacity with a
-// short saturated burst.
-func calibrate(cl *client.Client, queries [][]float64, k int) float64 {
+// short saturated burst of distinct queries.
+func calibrate(cl *client.Client, pool *queryPool, k int) float64 {
 	const dur = 300 * time.Millisecond
 	var done atomic.Int64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if _, err := cl.Search(context.Background(), queries[(w+i)%len(queries)], k); err == nil {
+				if _, err := cl.Search(context.Background(), pool.get(), k); err == nil {
 					done.Add(1)
 				}
 			}
-		}(w)
+		}()
 	}
 	start := time.Now()
 	time.Sleep(dur)
@@ -123,19 +141,26 @@ func calibrate(cl *client.Client, queries [][]float64, k int) float64 {
 }
 
 type openLoopResult struct {
+	// offered is rate × window, the requests the schedule holds; sent is
+	// how many the generator got out before the window closed.
+	offered, sent int
+	// lagP99 is how late the generator sent, against each request's due
+	// time (99th percentile).
+	lagP99      time.Duration
 	achievedQPS float64
 	shedRate    float64
-	p50, p99    time.Duration
+	// p50 and p99 are served-request latencies measured from the due
+	// time, so generator lag counts against them.
+	p50, p99 time.Duration
 }
 
-// openLoop fires requests at the offered rate for dur, never waiting for
-// completions (each request runs on its own goroutine), and reports what
-// the server actually absorbed.
-func openLoop(cl *client.Client, queries [][]float64, k int, rate float64, dur time.Duration) openLoopResult {
-	interval := time.Duration(float64(time.Second) / rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
+// openLoop offers rate requests per second for dur: request i is due at
+// start + i/rate, whatever has completed, and is sent on its own
+// goroutine at its due time (at once if the generator is behind). Sends
+// stop when the window closes; the result reports what was sent against
+// what was offered, how late the generator ran, and what the server
+// absorbed.
+func openLoop(cl *client.Client, pool *queryPool, k int, rate float64, dur time.Duration) openLoopResult {
 	var (
 		mu   sync.Mutex
 		lats []time.Duration
@@ -143,50 +168,59 @@ func openLoop(cl *client.Client, queries [][]float64, k int, rate float64, dur t
 		shed atomic.Int64
 		wg   sync.WaitGroup
 	)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-	deadline := time.NewTimer(dur)
-	defer deadline.Stop()
+	offered := int(rate * dur.Seconds())
+	lags := make([]time.Duration, 0, offered)
 	start := time.Now()
-	i := 0
-loop:
-	for {
-		select {
-		case <-ticker.C:
-			q := queries[i%len(queries)]
-			i++
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				t0 := time.Now()
-				_, err := cl.Search(context.Background(), q, k)
-				switch {
-				case err == nil:
-					ok.Add(1)
-					lat := time.Since(t0)
-					mu.Lock()
-					lats = append(lats, lat)
-					mu.Unlock()
-				case errors.Is(err, client.ErrOverloaded):
-					shed.Add(1)
-				}
-			}()
-		case <-deadline.C:
-			break loop
+	for i := 0; i < offered; i++ {
+		due := start.Add(time.Duration(float64(i) / rate * float64(time.Second)))
+		if wait := time.Until(due); wait > 0 {
+			time.Sleep(wait)
 		}
+		now := time.Now()
+		if now.Sub(start) >= dur {
+			break
+		}
+		lags = append(lags, now.Sub(due))
+		q := pool.get()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, err := cl.Search(context.Background(), q, k)
+			switch {
+			case err == nil:
+				ok.Add(1)
+				lat := time.Since(due)
+				mu.Lock()
+				lats = append(lats, lat)
+				mu.Unlock()
+			case errors.Is(err, client.ErrOverloaded):
+				shed.Add(1)
+			}
+		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := openLoopResult{achievedQPS: float64(ok.Load()) / wall.Seconds()}
-	total := ok.Load() + shed.Load()
-	if total > 0 {
+	res := openLoopResult{
+		offered:     offered,
+		sent:        len(lags),
+		lagP99:      quantile(lags, 0.99),
+		achievedQPS: float64(ok.Load()) / wall.Seconds(),
+		p50:         quantile(lats, 0.50),
+		p99:         quantile(lats, 0.99),
+	}
+	if total := ok.Load() + shed.Load(); total > 0 {
 		res.shedRate = float64(shed.Load()) / float64(total)
 	}
-	if len(lats) > 0 {
-		sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-		res.p50 = lats[len(lats)/2]
-		res.p99 = lats[(len(lats)*99)/100]
-	}
 	return res
+}
+
+// quantile returns the q-quantile of ds (sorting it in place); 0 when ds
+// is empty.
+func quantile(ds []time.Duration, q float64) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
+	return ds[int(q*float64(len(ds)-1))]
 }

@@ -17,6 +17,14 @@
 // property tests in kernel_test.go pin bit equality for every other
 // divergence and a tight relative tolerance for L2.
 //
+// The exact kernels stay the authority on every distance. The refine
+// screen (screen.go) only filters: for the transcendental kernels it
+// estimates D(x,y) = αx + Cy − ⟨x, ∇φ(y)⟩ with one dot product and a
+// rigorous forward-error bound e = 8(n+8)·2⁻⁵³·(Σ|φ(xⱼ)| + Σ|φ(yⱼ)| +
+// Σ|yⱼφ′(yⱼ)| + ‖∇φ(y)‖₂‖x‖₂) (plus an underflow floor) on its distance
+// from the exact kernel's rounded value, so a caller can skip points
+// provably outside the k nearest and hand only the rest to the kernel.
+//
 // Two structural rules keep the contract honest while making the loops
 // fast:
 //

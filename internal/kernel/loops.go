@@ -655,3 +655,75 @@ func burgBlock(data, q, p1, p2, out []float64) {
 		out[i] = s
 	}
 }
+
+// ---------------------------------------------------------------------------
+// Refine screen (screen.go): the per-coordinate generator values the exact
+// kernels subtract from, summed into per-point scalars, and the one dot
+// product per candidate the screen costs.
+// ---------------------------------------------------------------------------
+
+// phiSums returns Σφ(xⱼ) and Σ|φ(xⱼ)| in index order. Build-path helper.
+func phiSums(x []float64, phi func(float64) float64) (sum, abs float64) {
+	for _, v := range x {
+		a := phi(v)
+		sum += a
+		abs += math.Abs(a)
+	}
+	return sum, abs
+}
+
+// norm2 returns ‖x‖₂ scaled by its largest magnitude, so squares of tiny
+// coordinates cannot underflow to zero and squares of large ones cannot
+// overflow (the computed norm then carries only a relative rounding
+// error, which the screen's bound absorbs).
+func norm2(x []float64) float64 {
+	var m float64
+	for _, v := range x {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	if m == 0 || math.IsInf(m, 0) || math.IsNaN(m) {
+		return m
+	}
+	var s float64
+	for _, v := range x {
+		r := v / m
+		s += r * r
+	}
+	return m * math.Sqrt(s)
+}
+
+// queryTerms returns, for one query y with generator values phi = φ(yⱼ)
+// and gradient g = φ′(yⱼ): Σyⱼgⱼ − Σφ(yⱼ) and Σ|φ(yⱼ)| + Σ|yⱼgⱼ|.
+func queryTerms(y, phi, g []float64) (c, abs float64) {
+	var yg, sphi float64
+	for i := 0; i < len(y) && i < len(phi) && i < len(g); i++ {
+		t := y[i] * g[i]
+		yg += t
+		sphi += phi[i]
+		abs += math.Abs(phi[i]) + math.Abs(t)
+	}
+	return yg - sphi, abs
+}
+
+// dot returns ⟨x, g⟩ with eight independent accumulator chains (the
+// order is free: the screen's bound holds for any summation order).
+func dot(x, g []float64) float64 {
+	var s0, s1, s2, s3, s4, s5, s6, s7 float64
+	for len(x) >= 8 && len(g) >= 8 {
+		s0 += x[0] * g[0]
+		s1 += x[1] * g[1]
+		s2 += x[2] * g[2]
+		s3 += x[3] * g[3]
+		s4 += x[4] * g[4]
+		s5 += x[5] * g[5]
+		s6 += x[6] * g[6]
+		s7 += x[7] * g[7]
+		x, g = x[8:], g[8:]
+	}
+	for i := 0; i < len(x) && i < len(g); i++ {
+		s0 += x[i] * g[i]
+	}
+	return ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
+}

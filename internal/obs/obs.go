@@ -85,9 +85,12 @@ type Counters struct {
 	// which of them to prune.
 	Nodes, Leaves, BisectSteps int64
 	// Candidates is the number of points whose candidate bound
-	// survived filtering; DistanceComps counts exact divergence
-	// evaluations spent refining them.
-	Candidates, DistanceComps int64
+	// survived filtering; DistanceComps counts the divergence
+	// evaluations the paper's cost model charges (filter node
+	// evaluations plus one per candidate); ExactComps counts the exact
+	// kernel evaluations refinement actually made, the refine screen's
+	// survivors.
+	Candidates, DistanceComps, ExactComps int64
 	// PageReads counts disk/cold pages read.
 	PageReads int64
 	// Cold-tier detail: points scanned in the compressed domain,
@@ -119,8 +122,8 @@ type Trace struct {
 
 	spans [NumStages]atomic.Int64 // nanoseconds
 
-	nodes, leaves, bisectSteps, candidates, distComps, pageReads atomic.Int64
-	coldScanned, coldPruned, coldFaults, coldHits                atomic.Int64
+	nodes, leaves, bisectSteps, candidates, distComps, exactComps, pageReads atomic.Int64
+	coldScanned, coldPruned, coldFaults, coldHits                            atomic.Int64
 
 	mu     sync.Mutex
 	shards []ShardSpan
@@ -146,6 +149,7 @@ func NewTrace(id uint64) *Trace {
 	t.bisectSteps.Store(0)
 	t.candidates.Store(0)
 	t.distComps.Store(0)
+	t.exactComps.Store(0)
 	t.pageReads.Store(0)
 	t.coldScanned.Store(0)
 	t.coldPruned.Store(0)
@@ -264,6 +268,9 @@ func (t *Trace) Add(c Counters) {
 	if c.DistanceComps != 0 {
 		t.distComps.Add(c.DistanceComps)
 	}
+	if c.ExactComps != 0 {
+		t.exactComps.Add(c.ExactComps)
+	}
 	if c.PageReads != 0 {
 		t.pageReads.Add(c.PageReads)
 	}
@@ -292,6 +299,7 @@ func (t *Trace) Counters() Counters {
 		BisectSteps:   t.bisectSteps.Load(),
 		Candidates:    t.candidates.Load(),
 		DistanceComps: t.distComps.Load(),
+		ExactComps:    t.exactComps.Load(),
 		PageReads:     t.pageReads.Load(),
 		ColdScanned:   t.coldScanned.Load(),
 		ColdPruned:    t.coldPruned.Load(),

@@ -258,7 +258,7 @@ func TestSlowLogSchema(t *testing.T) {
 	defer tr.Release()
 	tr.SetQuery(10, 1)
 	tr.AddSpan(StageRun, 2*time.Millisecond)
-	tr.Add(Counters{Nodes: 3, DistanceComps: 9, BisectSteps: 4})
+	tr.Add(Counters{Nodes: 3, DistanceComps: 9, ExactComps: 5, BisectSteps: 4})
 
 	sl.MaybeLog("audio", "search", tr, 500*time.Microsecond) // below threshold
 	if buf.Len() != 0 {
@@ -291,7 +291,7 @@ func TestSlowLogSchema(t *testing.T) {
 		t.Fatalf("no counters group in %v", rec)
 	}
 	if counters["nodes"].(float64) != 3 || counters["distance_comps"].(float64) != 9 ||
-		counters["bisect_steps"].(float64) != 4 {
+		counters["exact_comps"].(float64) != 5 || counters["bisect_steps"].(float64) != 4 {
 		t.Errorf("counters = %v", counters)
 	}
 

@@ -17,7 +17,8 @@ import (
 //	msg="slow query" trace_id collection op k nq cached shards total_ms
 //	stages.{admission,queue,run,scan,refine,cold}_ms
 //	counters.{nodes,leaves,bisect_steps,candidates,distance_comps,
-//	          page_reads,cold_scanned,cold_pruned,cold_faults,cold_hits}
+//	          exact_comps,page_reads,cold_scanned,cold_pruned,cold_faults,
+//	          cold_hits}
 //
 // Every stage key is always present (zero when the stage was not
 // touched) so log consumers can index the schema statically.
@@ -65,6 +66,7 @@ func (sl *SlowLog) MaybeLog(collection, op string, tr *Trace, total time.Duratio
 			slog.Int64("bisect_steps", c.BisectSteps),
 			slog.Int64("candidates", c.Candidates),
 			slog.Int64("distance_comps", c.DistanceComps),
+			slog.Int64("exact_comps", c.ExactComps),
 			slog.Int64("page_reads", c.PageReads),
 			slog.Int64("cold_scanned", c.ColdScanned),
 			slog.Int64("cold_pruned", c.ColdPruned),

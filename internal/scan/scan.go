@@ -6,10 +6,15 @@
 // internal/kernel, picked once per call (or passed in by callers that
 // already hold one), so the inner loops never dispatch through the
 // bregman.Divergence interface; candidate runs that are physically
-// adjacent in the disk store's arena are evaluated block-at-a-time.
+// adjacent in the disk store's arena are evaluated block-at-a-time. The
+// pooled refinement (RefineCtx) screens candidates with the kernel's
+// one-dot-product bound first and evaluates only the survivors exactly;
+// the brute-force scans never screen, so they stay independent oracles.
 package scan
 
 import (
+	"math"
+
 	"brepartition/internal/bregman"
 	"brepartition/internal/disk"
 	"brepartition/internal/kernel"
@@ -119,16 +124,98 @@ func Refine(div bregman.Divergence, sess *disk.Session, candidates []int, q []fl
 	return sel.Items()
 }
 
-// RefineCtx is the pooled-context refinement: distances of all candidates
+// RefineCtx is the pooled-context refinement: the k nearest candidates
 // are offered into sel (which the caller has sized and reset), using dist
-// (len ≥ 1) as the block evaluation buffer. Candidates whose disk slots
-// are physically consecutive — whole leaf clusters discovered by the
-// filter — are evaluated per arena block with kern.DistancesTo instead of
-// point-at-a-time, streaming the refinement cache-linearly. prep is the
-// query's kernel.PrepQuery output (or nil to forgo hoisting); isolated
-// candidates are evaluated through kern.DistancePrep when it is supplied.
-// RefineCtx performs no allocation.
+// (len ≥ 1) as the block evaluation buffer and, when screened, as the
+// cache of pass 1's lower bounds (a dist as long as candidates spares
+// pass 2 every recomputation). prep is the query's
+// kernel.PrepQuery output (or nil to forgo hoisting). RefineCtx performs
+// no allocation; RefineCtxCount is the same call reporting how many
+// candidates the exact kernel evaluated.
+//
+// For the transcendental kernels (kernel.Screens) over a store carrying
+// screen scalars (disk.Store.SetScreen), the refinement is screened: pass
+// 1 bounds every candidate's distance with one dot product
+// (kernel.Screen) and selects the k-th smallest upper bound τ; pass 2
+// evaluates exactly, in candidate order, only the candidates whose lower
+// bound is ≤ τ. A candidate the screen drops has an exact distance
+// strictly above the k-th smallest, so the answer is the one exact
+// evaluation of every candidate gives, bit for bit. Candidates without
+// scalars (appended after the build) and candidates the screen cannot
+// bound (non-finite inputs) always survive.
+//
+// Unscreened refinement evaluates every candidate: those whose disk
+// slots are physically consecutive — whole leaf clusters discovered by
+// the filter — per arena block with kern.DistancesTo instead of
+// point-at-a-time, streaming the refinement cache-linearly; isolated
+// candidates through kern.DistancePrep when prep is supplied.
 func RefineCtx(kern kernel.Kernel, sess *disk.Session, candidates []int, q []float64, sel *topk.Selector, dist []float64, prep []float64) {
+	RefineCtxCount(kern, sess, candidates, q, sel, dist, prep)
+}
+
+// RefineCtxCount is RefineCtx returning the number of exact kernel
+// evaluations it made: every candidate when unscreened, the screen's
+// survivors otherwise.
+func RefineCtxCount(kern kernel.Kernel, sess *disk.Session, candidates []int, q []float64, sel *topk.Selector, dist []float64, prep []float64) (exact int) {
+	// The screen needs an empty selector (pass 1 borrows it to select τ)
+	// and more candidates than k (otherwise every candidate survives).
+	if prep != nil && sel.Len() == 0 && len(candidates) > sel.K() {
+		if pts := sess.Store().ScreenPoints(kern); pts != nil {
+			if sc, ok := kernel.NewScreen(kern, q, prep); ok {
+				return refineScreened(kern, sess, candidates, q, sel, dist, prep, &sc, pts)
+			}
+		}
+	}
+	refineExact(kern, sess, candidates, q, sel, dist, prep)
+	return len(candidates)
+}
+
+// refineScreened is the two-pass screened refinement (see RefineCtx).
+// pts are the store's screen scalars, indexed by id; dist caches the
+// lower bounds pass 1 computes for the first len(dist) candidates, so
+// pass 2 recomputes only those beyond it.
+func refineScreened(kern kernel.Kernel, sess *disk.Session, candidates []int, q []float64, sel *topk.Selector, dist, prep []float64, sc *kernel.Screen, pts []kernel.ScreenPoint) (exact int) {
+	// Pass 1: τ, the k-th smallest upper bound among bounded candidates.
+	// Candidates the screen cannot bound keep a lower bound of −∞.
+	for i, id := range candidates {
+		lower := math.Inf(-1)
+		if id < len(pts) {
+			if est, e, ok := sc.Bounds(sess.Point(id), pts[id]); ok {
+				sel.Offer(id, est+e)
+				lower = est - e
+			}
+		}
+		if i < len(dist) {
+			dist[i] = lower
+		}
+	}
+	tau := math.Inf(1)
+	if t, ok := sel.Threshold(); ok {
+		tau = t
+	}
+	sel.ResetK(sel.K())
+	// Pass 2: exact distances for every candidate whose lower bound
+	// reaches τ. At least k candidates have an exact distance ≤ τ, so one
+	// whose lower bound exceeds τ cannot be among the k nearest.
+	for i, id := range candidates {
+		if i < len(dist) {
+			if dist[i] > tau {
+				continue
+			}
+		} else if id < len(pts) {
+			if est, e, ok := sc.Bounds(sess.Point(id), pts[id]); ok && est-e > tau {
+				continue
+			}
+		}
+		sel.Offer(id, kern.DistancePrep(sess.Point(id), q, prep))
+		exact++
+	}
+	return exact
+}
+
+// refineExact offers the exact distance of every candidate, block at a
+// time over consecutive slot runs.
+func refineExact(kern kernel.Kernel, sess *disk.Session, candidates []int, q []float64, sel *topk.Selector, dist []float64, prep []float64) {
 	store := sess.Store()
 	hoisted := prep != nil
 	for i := 0; i < len(candidates); {

@@ -49,8 +49,8 @@ var (
 		"scan_ms", "refine_ms", "cold_ms",
 	}
 	wantCounterKeys = []string{
-		"nodes", "leaves", "bisect_steps", "candidates", "distance_comps", "page_reads",
-		"cold_scanned", "cold_pruned", "cold_faults", "cold_hits",
+		"nodes", "leaves", "bisect_steps", "candidates", "distance_comps", "exact_comps",
+		"page_reads", "cold_scanned", "cold_pruned", "cold_faults", "cold_hits",
 	}
 )
 
@@ -189,6 +189,7 @@ func TestTraceCountersMatchRecount(t *testing.T) {
 			{"bisect_steps", int64(want.Stats.BisectSteps)},
 			{"candidates", int64(want.Stats.Candidates)},
 			{"distance_comps", int64(want.Stats.DistanceComps)},
+			{"exact_comps", int64(want.Stats.ExactComps)},
 			{"page_reads", int64(want.Stats.PageReads)},
 			{"cold_scanned", 0},
 			{"cold_faults", 0},

@@ -493,6 +493,7 @@ func addStats(agg, s core.SearchStats, first bool) core.SearchStats {
 	agg.NodesVisited += s.NodesVisited
 	agg.LeavesVisited += s.LeavesVisited
 	agg.DistanceComps += s.DistanceComps
+	agg.ExactComps += s.ExactComps
 	agg.BisectSteps += s.BisectSteps
 	agg.FilterCPU += s.FilterCPU
 	agg.RefineCPU += s.RefineCPU

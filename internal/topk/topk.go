@@ -12,14 +12,16 @@ type Item struct {
 	Score float64
 }
 
-// Selector keeps the k items with the smallest scores seen so far using a
-// max-heap of size ≤ k: the root is the current k-th smallest score, so a
-// new item replaces the root iff it is strictly smaller.
+// Selector keeps the k smallest items seen so far in Compare order (score,
+// then id) using a max-heap of size ≤ k: the root is the current k-th
+// smallest item, so a new item replaces the root iff it orders strictly
+// before it. Because ties on the score are broken by id, the retained set
+// depends only on the multiset of offers, never on their order.
 //
 // The zero value is unusable; construct with New.
 type Selector struct {
 	k    int
-	heap []Item // max-heap on Score
+	heap []Item // max-heap in Compare order
 }
 
 // New returns a Selector retaining the k smallest-scored items. k must be
@@ -50,13 +52,14 @@ func (s *Selector) Threshold() (score float64, ok bool) {
 	return s.heap[0].Score, true
 }
 
-// Admissible reports whether an item with the given score could enter the
-// selection (true while not full, or when score beats the current root).
-func (s *Selector) Admissible(score float64) bool {
+// Admissible reports whether (id, score) would enter the selection: true
+// while not full, or when it orders before the current root under Compare
+// (a score tying the root's enters iff its id is smaller).
+func (s *Selector) Admissible(id int, score float64) bool {
 	if !s.Full() {
 		return true
 	}
-	return score < s.heap[0].Score
+	return Compare(Item{ID: id, Score: score}, s.heap[0]) < 0
 }
 
 // Offer considers (id, score) for the selection and reports whether it was
@@ -67,10 +70,11 @@ func (s *Selector) Offer(id int, score float64) bool {
 		s.up(len(s.heap) - 1)
 		return true
 	}
-	if score >= s.heap[0].Score {
+	it := Item{ID: id, Score: score}
+	if Compare(it, s.heap[0]) >= 0 {
 		return false
 	}
-	s.heap[0] = Item{ID: id, Score: score}
+	s.heap[0] = it
 	s.down(0)
 	return true
 }
@@ -112,20 +116,13 @@ func Compare(a, b Item) int {
 
 // MaxItem returns the retained item with the largest (Score, ID) — once
 // the selector is full, the k-th smallest overall with the same tie-break
-// Items uses — without sorting. The heap root pins the max score; ties on
-// it are resolved by the highest ID with one O(k) scan. ok is false while
+// Items uses — without sorting: it is the heap root. ok is false while
 // the selector is empty.
 func (s *Selector) MaxItem() (it Item, ok bool) {
 	if len(s.heap) == 0 {
 		return Item{}, false
 	}
-	best := s.heap[0]
-	for _, cand := range s.heap[1:] {
-		if cand.Score == best.Score && cand.ID > best.ID {
-			best = cand
-		}
-	}
-	return best, true
+	return s.heap[0], true
 }
 
 // Reset empties the selector, retaining capacity.
@@ -149,7 +146,7 @@ func (s *Selector) ResetK(k int) {
 func (s *Selector) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if s.heap[parent].Score >= s.heap[i].Score {
+		if Compare(s.heap[parent], s.heap[i]) >= 0 {
 			return
 		}
 		s.heap[parent], s.heap[i] = s.heap[i], s.heap[parent]
@@ -162,10 +159,10 @@ func (s *Selector) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && s.heap[l].Score > s.heap[largest].Score {
+		if l < n && Compare(s.heap[l], s.heap[largest]) > 0 {
 			largest = l
 		}
-		if r < n && s.heap[r].Score > s.heap[largest].Score {
+		if r < n && Compare(s.heap[r], s.heap[largest]) > 0 {
 			largest = r
 		}
 		if largest == i {

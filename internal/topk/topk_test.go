@@ -68,15 +68,18 @@ func TestSelectorMatchesSortProperty(t *testing.T) {
 
 func TestSelectorAdmissible(t *testing.T) {
 	s := New(2)
-	if !s.Admissible(1e18) {
+	if !s.Admissible(7, 1e18) {
 		t.Fatal("anything is admissible while not full")
 	}
 	s.Offer(0, 1)
 	s.Offer(1, 2)
-	if s.Admissible(2) {
-		t.Fatal("equal-to-threshold should not be admissible")
+	if s.Admissible(2, 2) {
+		t.Fatal("equal-to-threshold with a larger id should not be admissible")
 	}
-	if !s.Admissible(1.5) {
+	if !s.Admissible(0, 2) {
+		t.Fatal("equal-to-threshold with a smaller id should be admissible")
+	}
+	if !s.Admissible(9, 1.5) {
 		t.Fatal("below-threshold should be admissible")
 	}
 }
@@ -98,6 +101,61 @@ func TestSelectorTieBreakByID(t *testing.T) {
 	items := s.Items()
 	if items[0].ID != 3 || items[1].ID != 5 || items[2].ID != 7 {
 		t.Fatalf("tie break wrong: %v", items)
+	}
+}
+
+// TestSelectorTieAtKthPlace pins admission by (score, id): when the k-th
+// place ties, the smaller id wins whatever the offer order.
+func TestSelectorTieAtKthPlace(t *testing.T) {
+	s := New(1)
+	s.Offer(7, 1)
+	s.Offer(3, 1)
+	if it, _ := s.MaxItem(); it.ID != 3 {
+		t.Fatalf("k=1 tie kept id %d, want 3", it.ID)
+	}
+	if s.Offer(5, 1) {
+		t.Fatal("a tie with a larger id displaced the root")
+	}
+}
+
+// TestSelectorPermutationInvariant is the property the two-pass refine
+// screen relies on: over inputs with many ties, every offer order yields
+// the same items, equal to the input sorted by Compare and cut at k, and
+// MaxItem/Threshold name the k-th of them.
+func TestSelectorPermutationInvariant(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(40)
+		items := make([]Item, n)
+		for i := range items {
+			// Few distinct scores, so ties are the common case.
+			items[i] = Item{ID: i, Score: float64(rng.Intn(4))}
+		}
+		want := append([]Item(nil), items...)
+		sort.Slice(want, func(a, b int) bool { return Compare(want[a], want[b]) < 0 })
+		k := 1 + rng.Intn(n)
+		want = want[:k]
+		for perm := 0; perm < 4; perm++ {
+			s := New(k)
+			for _, i := range rng.Perm(n) {
+				s.Offer(items[i].ID, items[i].Score)
+			}
+			got := s.Items()
+			if len(got) != k {
+				t.Fatalf("trial %d: %d items, want %d", trial, len(got), k)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d perm %d: items %v, want %v", trial, perm, got, want)
+				}
+			}
+			if it, _ := s.MaxItem(); it != want[k-1] {
+				t.Fatalf("trial %d: MaxItem %v, want %v", trial, it, want[k-1])
+			}
+			if thr, ok := s.Threshold(); !ok || thr != want[k-1].Score {
+				t.Fatalf("trial %d: Threshold %v,%v, want %v", trial, thr, ok, want[k-1].Score)
+			}
+		}
 	}
 }
 

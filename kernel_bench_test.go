@@ -12,7 +12,9 @@ import (
 
 	"brepartition"
 	"brepartition/internal/bregman"
+	"brepartition/internal/disk"
 	"brepartition/internal/kernel"
+	"brepartition/internal/scan"
 	"brepartition/internal/topk"
 )
 
@@ -61,6 +63,57 @@ func BenchmarkKernelDistancesExp(b *testing.B) {
 
 func BenchmarkKernelDistancesGKL(b *testing.B) {
 	benchmarkKernelDistances(b, brepartition.GeneralizedKL())
+}
+
+// benchmarkRefineScreened refines the whole BenchmarkKernelDistances*
+// block as one candidate list (k = 20) through scan.RefineCtx over a
+// store carrying the refine screen's scalars: one dot product per point,
+// the exact kernel for the survivors only. The ratio against the same
+// divergence's BenchmarkKernelDistances* is the screen's win on a full
+// scan (ROADMAP item 3 targets ≥3x).
+func benchmarkRefineScreened(b *testing.B, div brepartition.Divergence) {
+	block, q := kernBenchData()
+	kern := kernel.For(div)
+	rows := make([][]float64, block.N)
+	screen := make([]kernel.ScreenPoint, block.N)
+	cands := make([]int, block.N)
+	for i := range rows {
+		rows[i] = block.Row(i)
+		screen[i], _ = kernel.PointScreen(kern, rows[i])
+		cands[i] = i
+	}
+	store, err := disk.NewStore(rows, nil, disk.Config{PageSize: 32 << 10})
+	if err != nil {
+		b.Fatal(err)
+	}
+	store.SetScreen(kern, screen)
+	sess := store.NewSession()
+	prep := make([]float64, kern.QueryScratchLen(len(q)))
+	kern.PrepQuery(prep, q)
+	sel := topk.New(20)
+	dist := make([]float64, len(cands)) // as core sizes it: one slot per candidate
+	exact := 0
+	b.SetBytes(int64(block.N * block.Dim * 8))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sess.Reset(store)
+		sel.ResetK(20)
+		exact += scan.RefineCtxCount(kern, sess, cands, q, sel, dist, prep)
+	}
+	b.ReportMetric(float64(exact)/float64(b.N), "exact/op")
+}
+
+func BenchmarkRefineScreenedExp(b *testing.B) {
+	benchmarkRefineScreened(b, brepartition.Exponential())
+}
+
+func BenchmarkRefineScreenedGKL(b *testing.B) {
+	benchmarkRefineScreened(b, brepartition.GeneralizedKL())
+}
+
+func BenchmarkRefineScreenedIS(b *testing.B) {
+	benchmarkRefineScreened(b, brepartition.ItakuraSaito())
 }
 
 // BenchmarkKernelDistancesInterface is the pre-refactor reference: the
